@@ -4,7 +4,10 @@
 Measures, per document size, through the server facade:
 
 - median serve latency and throughput (input characters per second)
-  for ``serve`` (DOM) and ``serve_stream`` (streaming),
+  for ``serve`` (DOM) and ``serve_stream`` (streaming), plus — up to
+  the 10k-node size S1 gates on — the median *cold* DOM serve: the
+  first ``serve`` of a freshly published deferred-parse copy, parse
+  included,
 - peak Python-heap allocation of one request (``tracemalloc``), which
   is where the architectural difference shows: the DOM path peaks
   proportionally to the document, the streaming path to the *view
@@ -32,6 +35,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, "benchmarks")
 
@@ -47,6 +51,9 @@ from repro.xml.serializer import serialize  # noqa: E402
 FAST = "--fast" in sys.argv or "--smoke" in sys.argv
 ROUNDS = 3 if FAST else 9
 SIZES = [2_000, 10_000] if FAST else [2_000, 10_000, 50_000, 150_000]
+#: Largest size whose cold DOM serve is measured: each round parses the
+#: document anew, and parse time grows faster than linearly with size.
+COLD_MAX_NODES = 10_000
 AUTHS = 16
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
@@ -56,9 +63,15 @@ def requester() -> Requester:
     return Requester("anyone", "10.0.0.1", "bench.example.com")
 
 
-def build_server(nodes: int) -> tuple[SecureXMLServer, int]:
-    document = synthetic_document(nodes, uri=URI)
-    text = serialize(document)
+def document_text(nodes: int) -> str:
+    return serialize(synthetic_document(nodes, uri=URI))
+
+
+def build_server(
+    nodes: int, text: Optional[str] = None
+) -> tuple[SecureXMLServer, int]:
+    if text is None:
+        text = document_text(nodes)
     instance, schema = auth_set(AUTHS)
     server = SecureXMLServer()
     # Text + deferred parse: the streaming path reads the stored text
@@ -74,6 +87,21 @@ def median_ms(fn, *args, **kwargs) -> float:
     for _ in range(ROUNDS):
         start = time.perf_counter()
         response = fn(*args, **kwargs)
+        samples.append((time.perf_counter() - start) * 1000)
+        assert response.ok, response.error
+    return statistics.median(samples)
+
+
+def cold_serve_ms(text: str) -> float:
+    """Median latency of the first ``serve`` on a fresh server that
+    stores *text* unparsed: the parse, the labeling, the pruning and
+    the serialization of one DOM request from nothing."""
+    samples = []
+    for _ in range(ROUNDS):
+        server, _ = build_server(0, text)
+        request = AccessRequest(requester(), URI)
+        start = time.perf_counter()
+        response = server.serve(request)
         samples.append((time.perf_counter() - start) * 1000)
         assert response.ok, response.error
     return statistics.median(samples)
@@ -101,7 +129,8 @@ def peak_kib(nodes: int, backend: str) -> float:
 
 
 def bench_size(nodes: int) -> dict:
-    server, chars = build_server(nodes)
+    text = document_text(nodes)
+    server, chars = build_server(nodes, text)
     request = AccessRequest(requester(), URI)
     # Warm up once so the lazy first parse doesn't skew either side
     # (the server runs without a view cache, so every serve recomputes).
@@ -120,7 +149,7 @@ def bench_size(nodes: int) -> dict:
     response = server.serve_stream(request)
     events = server.metrics.counter("stream_events_total").value
     buffer_depth = server.metrics.histogram("stream_peak_buffer_depth")
-    return {
+    row = {
         "nodes": nodes,
         "input_chars": chars,
         "visible_nodes": response.visible_nodes,
@@ -140,6 +169,13 @@ def bench_size(nodes: int) -> dict:
             "peak_buffer_depth_p95": buffer_depth.quantile(0.95),
         },
     }
+    if nodes <= COLD_MAX_NODES:
+        cold_ms = cold_serve_ms(text)
+        row["dom_cold"] = {
+            "p50_ms": round(cold_ms, 3),
+            "throughput_mchars_s": round(chars / cold_ms / 1000, 3),
+        }
+    return row
 
 
 def bounded_memory_demo() -> dict:
@@ -171,16 +207,17 @@ def main() -> None:
     print(f"rounds per measurement: {ROUNDS}")
     print()
     print(
-        "| nodes | DOM p50 (ms) | stream p50 (ms) | DOM peak (KiB) "
-        "| stream peak (KiB) |"
+        "| nodes | DOM p50 (ms) | DOM cold p50 (ms) | stream p50 (ms) "
+        "| DOM peak (KiB) | stream peak (KiB) |"
     )
-    print("|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|")
     results = []
     for nodes in SIZES:
         row = bench_size(nodes)
         results.append(row)
         print(
             f"| {nodes} | {row['dom']['p50_ms']} "
+            f"| {row['dom_cold']['p50_ms'] if 'dom_cold' in row else '-'} "
             f"| {row['stream']['p50_ms']} "
             f"| {row['dom']['peak_heap_kib']} "
             f"| {row['stream']['peak_heap_kib']} |"

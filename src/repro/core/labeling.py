@@ -18,6 +18,12 @@ attribute and text node:
    reconstruction, in particular the paired blocking of R/RW.
 
 Text nodes (the paper's "values") inherit their parent's final sign.
+
+When every path compiles exactly to the shared dispatch automaton and
+no recorder is attached, :meth:`TreeLabeler.run` does both steps in one
+preorder walk, handing out labels interned by :class:`LabelInterner`
+(the same helper the streaming labeler uses): most nodes share a few
+labels, so each distinct one is resolved once.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Iterator, Optional
 
 from repro.authz.authorization import AuthType, Authorization
 from repro.authz.conflict import ConflictPolicy, DenialsTakePrecedence, EPSILON
-from repro.core.labels import Label, first_def
+from repro.core.labels import MINUS, PLUS, Label, first_def
 from repro.limits import Deadline, ResourceLimits
 from repro.obs.trace import span
 from repro.subjects.hierarchy import SubjectHierarchy
@@ -38,6 +44,7 @@ from repro.xpath.compile import RelativeMode
 __all__ = [
     "TreeLabeler",
     "LabelingResult",
+    "LabelInterner",
     "ProvenanceRecorder",
     "SlotDecision",
     "SLOTS",
@@ -83,6 +90,14 @@ _SCHEMA_SLOT = SCHEMA_SLOT
 
 #: Shared empty attribute view for predicate-free dispatch steps.
 _NO_ATTRS: dict[str, str] = {}
+
+#: The all-ε label the root element propagates from. Read-only.
+_DOCUMENT_LABEL = Label()
+
+#: Interned attribute labels per :class:`LabelInterner`; past the cap
+#: lookups still work, they just recompute (hostile vocabularies stay
+#: bounded).
+_ATTRIBUTE_LABEL_CAP = 65536
 
 
 def most_specific(
@@ -154,6 +169,140 @@ def propagate_attribute_label(label: Label, parent: Label) -> None:
             label.L, parent.L, parent.R, label.LD, label.LW
         )
     # Recursive slots stay ε: attributes are terminal nodes.
+
+
+def _element_bins(
+    entries: list[tuple[Authorization, str]], node
+) -> dict[str, list[Authorization]]:
+    """A fresh slot → authorizations binning for an element entering
+    dispatch node *node*; ``entries[i]`` is pattern *i*'s
+    ``(authorization, slot)`` pair."""
+    bins: dict[str, list[Authorization]] = {}
+    for index in node.accepts:
+        authorization, slot = entries[index]
+        bins.setdefault(slot, []).append(authorization)
+    return bins
+
+
+def _attribute_bins(
+    entries: list[tuple[Authorization, str]], node, name: str
+) -> dict[str, list[Authorization]]:
+    """A fresh slot → authorizations binning for attribute *name* of an
+    element at dispatch node *node*. Recursive slots degrade: attributes
+    are terminal nodes."""
+    bins: dict[str, list[Authorization]] = {}
+    for index, tails in node.attr_entries:
+        for tail in tails:
+            if tail is None or tail == name:
+                authorization, slot = entries[index]
+                slot = ATTRIBUTE_SLOT_DEGRADE.get(slot, slot)
+                bins.setdefault(slot, []).append(authorization)
+                break
+    return bins
+
+
+class LabelInterner:
+    """Labels interned over the nodes of one dispatch automaton.
+
+    A node's label is fixed by little: an element's by its
+    :class:`~repro.stream.paths.DispatchNode` (which authorizations
+    select it) and its parent's recursive slots R/RW/RD; an
+    attribute's by its element's dispatch node, its own name and its
+    element's label; a text, comment or PI node's by its parent's final
+    sign. Both labelers walk the same automaton, so both resolve each
+    distinct label once here and share it between every node that has
+    it:
+
+    - ``signs`` — dispatch node → resolved ``(slot, sign)`` pairs of
+      the authorizations its element part accepts;
+    - ``elements`` — ``(node, parent.R, parent.RW, parent.RD)`` → label;
+    - ``attributes`` — ``(node, name, id(element label))`` → label
+      (element labels live as long as the interner, so ids are stable);
+    - ``inherited`` — ``id(element label)`` → the label of an attribute
+      no pattern selects;
+    - ``values`` — final sign → the label of a text/comment/PI node.
+
+    Walkers keep a hit to one inline dict lookup — the DOM walk in
+    these dicts, the streaming labeler in its verdict caches over the
+    same keys — and call the matching method only on a miss; the
+    method resolves, stores and returns the label. Labels handed out
+    are shared: never mutate one.
+
+    *entries* maps each pattern index of the automaton to its
+    ``(authorization, slot)`` pair, in binding order (instance list,
+    then schema list), so slot lists reach conflict resolution in the
+    order the per-authorization XPath binding produces.
+    """
+
+    __slots__ = (
+        "_entries",
+        "_hierarchy",
+        "_policy",
+        "signs",
+        "elements",
+        "attributes",
+        "inherited",
+        "values",
+    )
+
+    def __init__(
+        self,
+        entries: list[tuple[Authorization, str]],
+        hierarchy: SubjectHierarchy,
+        policy: ConflictPolicy,
+    ) -> None:
+        self._entries = entries
+        self._hierarchy = hierarchy
+        self._policy = policy
+        self.signs: dict = {}
+        self.elements: dict[tuple, Label] = {}
+        self.attributes: dict[tuple, Label] = {}
+        self.inherited: dict[int, Label] = {}
+        self.values: dict[str, Label] = {
+            sign: Label(final=sign) for sign in (PLUS, MINUS, EPSILON)
+        }
+
+    def node_signs(self, node) -> tuple[tuple[str, str], ...]:
+        """Resolved ``(slot, sign)`` pairs for dispatch node *node*."""
+        signs = self.signs.get(node)
+        if signs is None:
+            signs = tuple(
+                (slot, resolve_slot_sign(auths, self._hierarchy, self._policy))
+                for slot, auths in _element_bins(self._entries, node).items()
+            )
+            self.signs[node] = signs
+        return signs
+
+    def element_label(self, node, parent: Label) -> Label:
+        """Resolve and intern the label of an element at *node* whose
+        parent element carries *parent*."""
+        label = Label()
+        for slot, sign in self.node_signs(node):
+            setattr(label, slot, sign)
+        propagate_element_label(label, parent)
+        self.elements[(node, parent.R, parent.RW, parent.RD)] = label
+        return label
+
+    def attribute_label(self, node, name: str, element_label: Label) -> Label:
+        """Resolve and intern the label of attribute *name* on an element
+        at *node* labelled *element_label*."""
+        label = Label()
+        for slot, auths in _attribute_bins(self._entries, node, name).items():
+            setattr(
+                label, slot, resolve_slot_sign(auths, self._hierarchy, self._policy)
+            )
+        propagate_attribute_label(label, element_label)
+        if len(self.attributes) < _ATTRIBUTE_LABEL_CAP:
+            self.attributes[(node, name, id(element_label))] = label
+        return label
+
+    def inherited_label(self, element_label: Label) -> Label:
+        """Resolve and intern the label every attribute of an element
+        labelled *element_label* gets when no pattern selects it."""
+        label = Label()
+        propagate_attribute_label(label, element_label)
+        self.inherited[id(element_label)] = label
+        return label
 
 
 @dataclass
@@ -254,7 +403,13 @@ class ProvenanceRecorder:
 
 @dataclass
 class LabelingResult:
-    """Labels per node, plus bookkeeping used by tests and benchmarks."""
+    """Labels per node, plus bookkeeping used by tests and benchmarks.
+
+    ``labels`` holds one entry per node of the labeled tree, so
+    ``labeled_nodes`` equals ``count_nodes`` over it. Many nodes may
+    share one :class:`~repro.core.labels.Label` object (see
+    :class:`LabelInterner`): treat every label as read-only.
+    """
 
     labels: dict[Node, Label]
     evaluated_authorizations: int = 0
@@ -343,7 +498,15 @@ class TreeLabeler:
     # -- public ------------------------------------------------------------
 
     def run(self) -> LabelingResult:
-        """Label the whole tree; returns labels for every node."""
+        """Label the whole tree; returns labels for every node.
+
+        On an unbound labeler with no recorder whose paths all compile
+        exactly, binding and labeling share one preorder walk (reported
+        as ``label.propagate``) and the labels are interned; otherwise
+        :meth:`bind` runs first and a per-node walk labels the tree.
+        Either way the bins, the six slots and the final sign of every
+        node come out the same.
+        """
         with span("label"):
             return self._run()
 
@@ -494,6 +657,13 @@ class TreeLabeler:
         root = self._root
         if root is None:
             return LabelingResult(labels)
+        if not self._bound and self._recorder is None:
+            automaton = self._compile_dispatch()
+            if automaton is not None:
+                with span("label.propagate"):
+                    self._bind_and_label(*automaton, labels)
+                self._bound = True
+                return LabelingResult(labels, self._evaluated, len(labels))
         self.bind()
 
         with span("label.propagate"):
@@ -539,24 +709,21 @@ class TreeLabeler:
             slot = _SCHEMA_SLOT[authorization.type]
             self._bin_one(authorization, slot, root_context)
 
-    def _bin_via_nfa(self) -> bool:
-        """Bind every authorization in ONE tree walk, when possible.
+    def _compile_dispatch(self) -> Optional[tuple]:
+        """``(dispatch, entries)`` when every path compiles exactly, else
+        ``None``.
 
         All paths are compiled to the streaming NFA matchers in *exact*
-        mode (:func:`repro.stream.paths.compile_stream_pattern`); a
-        single preorder walk then advances the joint
-        :class:`~repro.stream.paths.PatternDispatch` state per element
-        and bins every accepting authorization — the per-node slot
-        lists come out in the same order the per-authorization XPath
-        evaluations would have produced (instance list first, then
-        schema, both in list order). Any path outside the exactly-
-        streamable subset returns ``False`` and the legacy one-XPath-
-        per-authorization binning runs instead.
+        mode (:func:`repro.stream.paths.compile_stream_pattern`) and
+        joined into one :class:`~repro.stream.paths.PatternDispatch`;
+        ``entries[i]`` is the ``(authorization, slot)`` pair of pattern
+        *i*, instance list first, then schema, both in list order. Any
+        path outside the exactly-streamable subset — or an Element
+        context, which anchors absolute paths differently — keeps the
+        evaluator's one-XPath-per-authorization binding instead.
         """
         if not isinstance(self._document, Document):
-            # An Element context anchors absolute paths differently;
-            # keep the evaluator's semantics for that rare case.
-            return False
+            return None
         # Deferred import: repro.stream imports this module at load time.
         from repro.stream.paths import (
             PatternDispatch,
@@ -564,25 +731,37 @@ class TreeLabeler:
             compile_stream_pattern,
         )
 
-        entries: list[tuple[Authorization, str]] = []
-        patterns = []
+        entries = list(self.authorization_slots())
         try:
-            for authorization, slot in self.authorization_slots():
-                patterns.append(
-                    compile_stream_pattern(
-                        authorization.object.path, self._relative_mode, exact=True
-                    )
+            patterns = [
+                compile_stream_pattern(
+                    authorization.object.path, self._relative_mode, exact=True
                 )
-                entries.append((authorization, slot))
+                for authorization, _ in entries
+            ]
         except StreamPathUnsupported:
+            return None
+        return PatternDispatch(patterns), entries
+
+    def _bin_via_nfa(self) -> bool:
+        """Bind every authorization in ONE tree walk, when possible.
+
+        A single preorder walk advances the joint dispatch state per
+        element (:meth:`_compile_dispatch`) and bins every accepting
+        authorization — the per-node slot lists come out in the same
+        order the per-authorization XPath evaluations would have
+        produced. Returns ``False``, binding nothing, when some path is
+        outside the exactly-streamable subset.
+        """
+        automaton = self._compile_dispatch()
+        if automaton is None:
             return False
+        dispatch, entries = automaton
         self._evaluated += len(entries)
         root = self._root
         if root is None or not entries:
             return True
-        dispatch = PatternDispatch(patterns)
         bins = self._node_slot_auths
-        degrade = self._ATTRIBUTE_SLOT
         deadline = self._deadline
         stack: list[tuple[Element, object]] = [(root, dispatch.initial)]
         visited = 0
@@ -598,28 +777,12 @@ class TreeLabeler:
                 values = _NO_ATTRS
             state = dispatch.advance(parent_state, element.name, values)
             if state.accepts:
-                slots = bins.get(element)
-                if slots is None:
-                    slots = {}
-                    bins[element] = slots
-                for index in state.accepts:
-                    authorization, slot = entries[index]
-                    slots.setdefault(slot, []).append(authorization)
+                bins[element] = _element_bins(entries, state)
             if attributes and state.attr_entries:
-                for index, tails in state.attr_entries:
-                    authorization, slot = entries[index]
-                    slot = degrade.get(slot, slot)
-                    for name, attribute in attributes.items():
-                        for tail in tails:
-                            if tail is None or tail == name:
-                                attr_slots = bins.get(attribute)
-                                if attr_slots is None:
-                                    attr_slots = {}
-                                    bins[attribute] = attr_slots
-                                attr_slots.setdefault(slot, []).append(
-                                    authorization
-                                )
-                                break
+                for name, attribute in attributes.items():
+                    found = _attribute_bins(entries, state, name)
+                    if found:
+                        bins[attribute] = found
             for child in element.children:
                 if isinstance(child, Element):
                     stack.append((child, state))
@@ -628,6 +791,84 @@ class TreeLabeler:
                 if visited % self._DEADLINE_STRIDE == 0:
                     deadline.check("authorization binding")
         return True
+
+    def _bind_and_label(
+        self,
+        dispatch,
+        entries: list[tuple[Authorization, str]],
+        labels: dict[Node, Label],
+    ) -> None:
+        """Bind and label the whole tree in one preorder walk.
+
+        The walk of :meth:`_bin_via_nfa`, which also labels each node
+        from its dispatch state and its parent's label through a
+        :class:`LabelInterner`: one resolution per distinct label, one
+        dict lookup per node after that. Bins and labels equal what
+        :meth:`bind` followed by the per-node walk produces.
+        """
+        self._evaluated += len(entries)
+        interner = LabelInterner(entries, self._hierarchy, self._policy)
+        element_labels = interner.elements
+        attribute_labels = interner.attributes
+        inherited_labels = interner.inherited
+        value_labels = interner.values
+        bins = self._node_slot_auths
+        deadline = self._deadline
+        stack: list[tuple[Element, object, Label]] = [
+            (self._root, dispatch.initial, _DOCUMENT_LABEL)
+        ]
+        visited = 0
+        while stack:
+            element, parent_state, parent_label = stack.pop()
+            attributes = element.attributes
+            if attributes and parent_state.preds:
+                values = {
+                    name: attribute.value
+                    for name, attribute in attributes.items()
+                }
+            else:
+                values = _NO_ATTRS
+            state = dispatch.advance(parent_state, element.name, values)
+            label = element_labels.get(
+                (state, parent_label.R, parent_label.RW, parent_label.RD)
+            )
+            if label is None:
+                label = interner.element_label(state, parent_label)
+            labels[element] = label
+            if state.accepts:
+                bins[element] = _element_bins(entries, state)
+            if attributes:
+                if state.attr_entries:
+                    label_id = id(label)
+                    for name, attribute in attributes.items():
+                        attribute_label = attribute_labels.get(
+                            (state, name, label_id)
+                        )
+                        if attribute_label is None:
+                            attribute_label = interner.attribute_label(
+                                state, name, label
+                            )
+                        labels[attribute] = attribute_label
+                        found = _attribute_bins(entries, state, name)
+                        if found:
+                            bins[attribute] = found
+                else:
+                    inherited = inherited_labels.get(id(label))
+                    if inherited is None:
+                        inherited = interner.inherited_label(label)
+                    for attribute in attributes.values():
+                        labels[attribute] = inherited
+            # Text/comment/PI nodes ("values") share the parent's final.
+            value_label = value_labels[label.final]
+            for child in element.children:
+                if isinstance(child, Element):
+                    stack.append((child, state, label))
+                else:
+                    labels[child] = value_label
+            if deadline is not None:
+                visited += 1
+                if visited % self._DEADLINE_STRIDE == 0:
+                    deadline.check("tree labeling")
 
     _ATTRIBUTE_SLOT = ATTRIBUTE_SLOT_DEGRADE
 

@@ -22,7 +22,7 @@ from typing import Optional
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import ConflictPolicy
 from repro.core.labeling import TreeLabeler
-from repro.core.prune import build_view
+from repro.core.prune import PruneCounts, build_view
 from repro.core.view import ViewResult
 from repro.dtd.loosen import loosen
 from repro.dtd.model import DTD
@@ -34,7 +34,6 @@ from repro.subjects.hierarchy import SubjectHierarchy
 from repro.xml.nodes import Document
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
-from repro.xml.traversal import count_nodes
 from repro.xpath.compile import RelativeMode
 
 __all__ = ["ProcessorOutput", "SecurityProcessor", "StepTimings"]
@@ -148,11 +147,13 @@ class SecurityProcessor:
         # Step 3: transformation (pruning), preserving validity w.r.t.
         # the loosened DTD.
         started = time.perf_counter()
+        counts = PruneCounts()
         view_document = build_view(
             document,
             labeling.labels,
             open_policy=self._open_policy,
             loosen_dtd=True,
+            counts=counts,
         )
         timings.transform = time.perf_counter() - started
 
@@ -166,19 +167,13 @@ class SecurityProcessor:
             loosened_text = serialize_dtd(loosened) if loosened is not None else None
         timings.unparse = time.perf_counter() - started
 
-        total = count_nodes(document.root) if document.root is not None else 0
-        visible = (
-            count_nodes(view_document.root)
-            if view_document.root is not None
-            else 0
-        )
         view = ViewResult(
             document=view_document,
             labels=labeling.labels,
             instance_auths=list(instance_auths),
             schema_auths=list(schema_auths),
-            total_nodes=total,
-            visible_nodes=visible,
+            total_nodes=labeling.labeled_nodes,
+            visible_nodes=counts.visible_nodes,
         )
         return ProcessorOutput(
             xml_text=xml_text,

@@ -19,6 +19,7 @@ for survival purposes (they are nodes of the paper's tree model); the
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.labels import Label
@@ -34,7 +35,16 @@ from repro.xml.nodes import (
     Text,
 )
 
-__all__ = ["build_view", "prune_in_place"]
+__all__ = ["PruneCounts", "build_view", "prune_in_place"]
+
+
+@dataclass
+class PruneCounts:
+    """What one :func:`build_view` run kept, counted while it builds."""
+
+    #: Nodes of the view tree under its root element — what
+    #: ``count_nodes(view.root)`` would walk the view to find.
+    visible_nodes: int = 0
 
 
 def build_view(
@@ -42,6 +52,7 @@ def build_view(
     labels: dict[Node, Label],
     open_policy: bool = False,
     loosen_dtd: bool = True,
+    counts: Optional[PruneCounts] = None,
 ) -> Document:
     """Construct the requester's view as a new document.
 
@@ -50,13 +61,17 @@ def build_view(
     document:
         The labeled original (untouched).
     labels:
-        The labeling result for every node of *document*.
+        The labeling result for every node of *document* (read only;
+        labels may be shared between nodes).
     open_policy:
         Under the open policy an ε final sign counts as a permission
         (Section 6.2); the default is the paper's closed policy.
     loosen_dtd:
         Attach the loosened DTD to the view (Section 7: the view is
         valid w.r.t. — and shipped with — the loosened DTD).
+    counts:
+        Optional :class:`PruneCounts` that receives the view's node
+        count, so callers need not walk the view again.
     """
     if isinstance(document, Document):
         root = document.root
@@ -71,7 +86,9 @@ def build_view(
     if root is None:
         return view
     with span("prune"):
-        built = _build_element(root, labels, open_policy)
+        built, visible = _build_element(root, labels, open_policy)
+    if counts is not None:
+        counts.visible_nodes = visible
     if built is not None:
         view.append(built)
     else:
@@ -84,13 +101,15 @@ def build_view(
 
 def _build_element(
     element: Element, labels: dict[Node, Label], open_policy: bool
-) -> Optional[Element]:
+) -> tuple[Optional[Element], int]:
     """Postorder construction of the visible copy of *element*.
 
-    Iterative (explicit postorder over elements) so deep documents
-    never exhaust the Python stack.
+    Returns the copy (``None`` when nothing survives) and its node
+    count. Iterative (explicit postorder over elements) so deep
+    documents never exhaust the Python stack.
     """
     built: dict[Element, Optional[Element]] = {}
+    visible = 0
     for node in _postorder_elements(element):
         label = labels.get(node)
         permitted = label is not None and label.permitted_under(open_policy)
@@ -112,6 +131,7 @@ def _build_element(
                 # permitted (a structural survivor shows bare tags only).
                 if permitted:
                     kept_children.append(child.clone())
+                    visible += 1
 
         if not permitted and not kept_attributes and not kept_children:
             built[node] = None
@@ -122,7 +142,8 @@ def _build_element(
         for child in kept_children:
             copy.append(child)
         built[node] = copy
-    return built[element]
+        visible += 1 + len(kept_attributes)
+    return built[element], visible
 
 
 def _postorder_elements(root: Element):

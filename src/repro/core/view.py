@@ -17,12 +17,11 @@ from repro.authz.conflict import ConflictPolicy
 from repro.authz.store import AuthorizationStore
 from repro.core.labeling import LabelingResult, TreeLabeler
 from repro.core.labels import Label
-from repro.core.prune import build_view
+from repro.core.prune import PruneCounts, build_view
 from repro.limits import Deadline, ResourceLimits
 from repro.obs.trace import span
 from repro.subjects.hierarchy import Requester, SubjectHierarchy
 from repro.xml.nodes import Document, Node
-from repro.xml.traversal import count_nodes
 from repro.xpath.compile import RelativeMode
 
 __all__ = ["ViewResult", "compute_view", "compute_view_from_auths"]
@@ -30,7 +29,13 @@ __all__ = ["ViewResult", "compute_view", "compute_view_from_auths"]
 
 @dataclass
 class ViewResult:
-    """Everything produced by one compute-view run."""
+    """Everything produced by one compute-view run.
+
+    ``labels`` are the labeling's, keyed by the nodes of the *source*
+    document; many nodes may share one label object, so treat them as
+    read-only. ``total_nodes``/``visible_nodes`` equal ``count_nodes``
+    over the source's and the view's root elements.
+    """
 
     document: Document
     labels: dict[Node, Label]
@@ -160,18 +165,24 @@ def compute_view_from_auths(
     labeling: LabelingResult = labeler.run()
     if deadline is not None:
         deadline.check("view pruning")
+    # Both counts come from the walks that already visit every node:
+    # the labeling holds one label per source node, and the pruner
+    # counts what it copies.
+    counts = PruneCounts()
     view = build_view(
-        document, labeling.labels, open_policy=open_policy, loosen_dtd=loosen_dtd
+        document,
+        labeling.labels,
+        open_policy=open_policy,
+        loosen_dtd=loosen_dtd,
+        counts=counts,
     )
-    total = count_nodes(document.root) if document.root is not None else 0
-    visible = count_nodes(view.root) if view.root is not None else 0
     return ViewResult(
         document=view,
         labels=labeling.labels,
         instance_auths=list(instance_auths),
         schema_auths=list(schema_auths),
-        total_nodes=total,
-        visible_nodes=visible,
+        total_nodes=labeling.labeled_nodes,
+        visible_nodes=counts.visible_nodes,
     )
 
 

@@ -61,6 +61,7 @@ class _LazyLabels:
     ``.get(node)``; routing that through :meth:`TreeLabeler.label_lazily`
     lets the *unmodified* pruning code serialize virtual matches — the
     byte-identity guarantee comes from running the same construction.
+    A label the lazy labeler has already memoized is returned directly.
     """
 
     __slots__ = ("_labeler", "_labels")
@@ -70,6 +71,9 @@ class _LazyLabels:
         self._labels = labels
 
     def get(self, node: Node, default=None) -> Optional[Label]:
+        found = self._labels.get(node)
+        if found is not None:
+            return found
         return self._labeler.label_lazily(node, self._labels)
 
 
@@ -268,7 +272,7 @@ class VisibilityOracle:
         if isinstance(node, Element):
             from repro.core.prune import _build_element
 
-            copy = _build_element(node, self.lazy_labels(), self.open_policy)
+            copy, _ = _build_element(node, self.lazy_labels(), self.open_policy)
             if copy is None:  # matched nodes always exist; defensive
                 return ""
             return serialize(copy)

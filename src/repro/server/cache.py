@@ -239,26 +239,32 @@ class ViewCache:
         self,
         uri: str,
         keep=None,
-        store_version: Optional[int] = None,
-        document_version: Optional[int] = None,
+        versions: Optional[tuple[tuple[int, int], tuple[int, int]]] = None,
     ) -> tuple[int, int]:
         """Subtree-granular invalidation after an update to *uri*.
 
         *keep* is a predicate over cache keys: ``True`` means the edit
         provably did not intersect that entry's view (the server proves
-        this with the visibility oracle), so the entry survives with
-        its ``store_version``/``document_version`` re-stamped to the
-        post-commit values — the next lookup hits instead of discarding
-        it as stale. Every other entry for *uri* is dropped. With no
-        *keep*, everything for *uri* is dropped (the pre-PR-8
-        behaviour).
+        this with the visibility oracle), so the entry survives. Every
+        other entry for *uri* is dropped. With no *keep*, everything for
+        *uri* is dropped (the pre-PR-8 behaviour).
+
+        *versions* is ``(proven, current)``: the ``(store_version,
+        document_version)`` pair the keep-proof was made against (the
+        pre-update one) and the post-commit pair. A kept entry built at
+        *proven* — or already at *current* — is re-stamped to *current*,
+        so the next lookup hits instead of discarding it as stale; one
+        built at any other versions is dropped, since the proof says
+        nothing about the tree it came from. Without *versions*, kept
+        entries keep their versions.
 
         Runs in two phases so the (possibly slow) keep predicate is
         never evaluated under the cache lock: snapshot the URI's keys,
         decide outside the lock, re-apply under the lock checking each
         entry is still present. An entry raced in between the phases
         for a *kept* key is re-stamped too — safe, because the keep
-        decision proved the view bytes are identical across the edit.
+        decision proved the view bytes are identical across the edit
+        (and only if it was built at the proven versions).
 
         Returns ``(kept, dropped)``.
         """
@@ -278,11 +284,13 @@ class ViewCache:
                 entry = self._entries.get(key)
                 if entry is None:
                     continue
+                if keep_it and versions is not None:
+                    proven, current = versions
+                    built_at = (entry.store_version, entry.document_version)
+                    keep_it = built_at == proven or built_at == current
+                    if keep_it:
+                        entry.store_version, entry.document_version = current
                 if keep_it:
-                    if store_version is not None:
-                        entry.store_version = store_version
-                    if document_version is not None:
-                        entry.document_version = document_version
                     self.revalidated += 1
                     kept += 1
                 else:

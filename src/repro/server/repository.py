@@ -23,6 +23,7 @@ from repro.dtd.validator import validate
 from repro.testing.faults import trip
 from repro.xml.nodes import Document
 from repro.xml.parser import parse_document
+from repro.xml.traversal import count_nodes
 
 __all__ = ["Repository", "ShardRouter", "StoredDocument"]
 
@@ -111,8 +112,12 @@ class StoredDocument:
     text: Optional[str] = None
     parsed: Optional[Document] = None
     dtd_uri: Optional[str] = None
-    #: bumped whenever the stored tree is replaced (cache guard)
+    #: bumped whenever the stored tree is replaced (cache guard); the
+    #: repository starts each new document above every version a
+    #: removed one reached, so a URI's versions never repeat
     version: int = 0
+    #: set once the repository has removed this document
+    retired: bool = field(default=False, repr=False, compare=False)
     #: set for deferred-parse documents: resolves dtd_uri -> published
     #: DTD at first parse, mirroring what an eager add does up front
     dtd_resolver: Optional[Callable[[str], Optional[DTD]]] = field(
@@ -120,6 +125,10 @@ class StoredDocument:
     )
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
+    )
+    #: (tree, count_nodes of its root) for the tree last counted
+    _node_count: Optional[tuple[Document, int]] = field(
+        default=None, repr=False, compare=False
     )
 
     def document(
@@ -154,14 +163,44 @@ class StoredDocument:
                     self.parsed = tree
         return self.parsed
 
+    def node_count(self, document: Document) -> int:
+        """``count_nodes`` over *document*'s root, memoized per tree.
+
+        *document* is the tree :meth:`document` returned; the memo is
+        keyed by that tree, so a :meth:`replace_tree` commit makes the
+        next call count the new one.
+        """
+        memo = self._node_count
+        if memo is not None and memo[0] is document:
+            return memo[1]
+        count = count_nodes(document.root) if document.root is not None else 0
+        self._node_count = (document, count)
+        return count
+
     def replace_tree(self, document: Document) -> None:
         """Commit a new tree: swap it in, drop any stale source text and
         bump the version so cached views of the old tree go stale —
-        atomically with respect to concurrent readers."""
+        atomically with respect to concurrent readers.
+
+        Raises :class:`~repro.errors.RepositoryError` once the document
+        has been removed (see :meth:`retire`)."""
         with self._lock:
+            if self.retired:
+                raise RepositoryError(f"document {self.uri!r} was removed")
             self.parsed = document
             self.text = None
             self.version += 1
+            self._node_count = None
+
+    def retire(self) -> int:
+        """Mark the document removed and return its final version.
+
+        Waits for a writer holding :meth:`exclusive` to commit; later
+        commits are refused, so no version past the returned one is
+        ever reached by this document."""
+        with self._lock:
+            self.retired = True
+            return self.version
 
     def exclusive(self) -> threading.RLock:
         """The per-document lock, for callers running a multi-step
@@ -205,6 +244,10 @@ class Repository:
         self._documents: dict[str, StoredDocument] = {}
         self._dtds: dict[str, DTD] = {}
         self._lock = threading.RLock()
+        # First version of a newly stored document: one past the last
+        # version of every document removed so far, so cache entries of
+        # a removed document never match its successor at the same URI.
+        self._version_floor = 0
 
     # -- DTDs -----------------------------------------------------------------
 
@@ -255,11 +298,12 @@ class Repository:
         with self._lock:
             if uri in self._documents:
                 raise RepositoryError(f"a document is already stored at {uri!r}")
+            version = self._version_floor
             if isinstance(content, Document):
-                stored = StoredDocument(uri, parsed=content)
+                stored = StoredDocument(uri, parsed=content, version=version)
                 content.uri = uri
             else:
-                stored = StoredDocument(uri, text=content)
+                stored = StoredDocument(uri, text=content, version=version)
                 if defer_parse:
                     stored.dtd_uri = dtd_uri
                     stored.dtd_resolver = self._dtds.get
@@ -298,7 +342,17 @@ class Repository:
 
     def remove_document(self, uri: str) -> None:
         with self._lock:
-            if uri not in self._documents:
+            stored = self._documents.get(uri)
+        if stored is None:
+            raise RepositoryError(f"no document stored at {uri!r}")
+        # Retiring waits for the document's own lock (a first parse or
+        # an update may hold it), so it runs without the repository lock.
+        # The URI stays taken until the pop below, so no successor can be
+        # stored there before the floor covers the final version.
+        final_version = stored.retire()
+        with self._lock:
+            self._version_floor = max(self._version_floor, final_version + 1)
+            if self._documents.get(uri) is not stored:
                 raise RepositoryError(f"no document stored at {uri!r}")
             del self._documents[uri]
 

@@ -62,7 +62,6 @@ from repro.subjects.canonical import EffectiveClass
 from repro.subjects.hierarchy import Requester, SubjectHierarchy
 from repro.xml.nodes import Document
 from repro.xml.parser import parse_document
-from repro.xml.traversal import count_nodes
 from repro.xml.serializer import serialize
 from repro.xpath.compile import RelativeMode
 from repro.xpath.evaluator import select
@@ -1243,8 +1242,7 @@ class SecureXMLServer:
         kept, dropped = self.view_cache.invalidate_uri(
             uri,
             keep=keep,
-            store_version=store_version,
-            document_version=new_version,
+            versions=((store_version, old_version), (store_version, new_version)),
         )
         with self._oracle_lock:
             for key in [k for k in self._oracles if k[0] == uri]:
@@ -1609,9 +1607,7 @@ class SecureXMLServer:
         self._meter(
             "counter", "rewrite_requests_total", {"outcome": "rewritten"}, 1
         )
-        total_nodes = (
-            count_nodes(document.root) if document.root is not None else 0
-        )
+        total_nodes = stored.node_count(document)
         elapsed = time.perf_counter() - started
         outcome = "released" if matches else "empty"
         self._record_request("query", outcome, elapsed)

@@ -23,14 +23,12 @@ paper's semantics has exactly one forward dependency:
 Memory is therefore O(depth + patterns), not O(document); the pending
 chain is charged against ``ResourceLimits.max_stream_buffer_bytes``.
 
-Sign resolution is shared with the DOM labeler
-(:func:`repro.core.labeling.resolve_slot_sign`,
-:func:`~repro.core.labeling.propagate_element_label`,
-:func:`~repro.core.labeling.propagate_attribute_label`), and
-authorizations are binned in the same order (instance list first, then
-schema list), so both backends agree sign-for-sign — the differential
-suite under ``tests/stream/`` checks byte equality of the serialized
-views.
+Labels come from the same :class:`~repro.core.labeling.LabelInterner`
+the DOM labeler's fused walk uses (sign resolution and propagation
+included), and authorizations are binned in the same order (instance
+list first, then schema list), so both backends agree sign-for-sign —
+the differential suite under ``tests/stream/`` checks byte equality of
+the serialized views.
 
 The labeler mirrors the server's DOM parse settings (comments kept,
 ignorable whitespace kept); visible/total node counts match
@@ -44,14 +42,7 @@ from typing import Iterable, Optional
 
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import ConflictPolicy, DenialsTakePrecedence
-from repro.core.labeling import (
-    ATTRIBUTE_SLOT_DEGRADE,
-    INSTANCE_SLOT,
-    SCHEMA_SLOT,
-    propagate_attribute_label,
-    propagate_element_label,
-    resolve_slot_sign,
-)
+from repro.core.labeling import INSTANCE_SLOT, SCHEMA_SLOT, LabelInterner
 from repro.core.labels import Label
 from repro.dtd.model import DTD
 from repro.errors import XMLLimitExceeded
@@ -70,7 +61,6 @@ from repro.stream.events import (
 from repro.stream.paths import (
     DispatchNode,
     PatternDispatch,
-    StreamPattern,
     compile_stream_pattern,
 )
 from repro.stream.writer import StreamWriter
@@ -94,17 +84,6 @@ class StreamStats:
     buffered_elements: int = 0
     peak_pending_depth: int = 0
     peak_pending_bytes: int = 0
-
-
-class _CompiledAuth:
-    """One authorization with its label slot and compiled pattern."""
-
-    __slots__ = ("auth", "slot", "pattern")
-
-    def __init__(self, auth: Authorization, slot: str, pattern: StreamPattern):
-        self.auth = auth
-        self.slot = slot
-        self.pattern = pattern
 
 
 class _Frame:
@@ -157,36 +136,22 @@ class StreamLabeler:
         # schema list — per-slot authorization lists build up in the
         # same order as TreeLabeler._bin_authorizations, so conflict
         # resolution sees identical inputs.
-        self._compiled: list[_CompiledAuth] = []
-        for auth in instance_auths:
-            self._compiled.append(
-                _CompiledAuth(
-                    auth,
-                    INSTANCE_SLOT[auth.type],
-                    compile_stream_pattern(auth.object.path, relative_mode),
-                )
-            )
-        for auth in schema_auths:
-            self._compiled.append(
-                _CompiledAuth(
-                    auth,
-                    SCHEMA_SLOT[auth.type],
-                    compile_stream_pattern(auth.object.path, relative_mode),
-                )
-            )
+        entries = [(auth, INSTANCE_SLOT[auth.type]) for auth in instance_auths]
+        entries += [(auth, SCHEMA_SLOT[auth.type]) for auth in schema_auths]
+        patterns = [
+            compile_stream_pattern(auth.object.path, relative_mode)
+            for auth, _ in entries
+        ]
         # One DFA over the joint state of every pattern: per element,
         # advancing *all* authorizations is one dict lookup once warm,
-        # and each distinct joint state resolves its slot signs once.
-        self._dispatch = PatternDispatch(
-            [entry.pattern for entry in self._compiled]
-        )
+        # and each distinct label is resolved once by the interner.
+        self._dispatch = PatternDispatch(patterns)
+        self._labels = LabelInterner(entries, self._hierarchy, self._policy)
         self._doc_label = Label()
-        # node -> resolved ((slot, sign), ...) for its accepting auths.
-        self._sign_cache: dict[DispatchNode, tuple] = {}
-        # (node, parent R/RW/RD) -> interned (Label, permitted). Labels
-        # handed out from here are shared and must never be mutated.
+        # Verdicts over the interner's labels, so a hit is one lookup:
+        # (node, parent R/RW/RD) -> (label, permitted);
         self._label_cache: dict[tuple, tuple[Label, bool]] = {}
-        # id(element label) -> whether unauthorized attributes survive.
+        # id(element label) -> whether unauthorized attributes survive;
         self._inherit_cache: dict[int, bool] = {}
         # (node, attr name, id(element label)) -> keep?
         self._attr_cache: dict[tuple, bool] = {}
@@ -289,10 +254,7 @@ class StreamLabeler:
         key = (node, parent_label.R, parent_label.RW, parent_label.RD)
         cached = self._label_cache.get(key)
         if cached is None:
-            label = Label()
-            for slot, sign in self._node_signs(node):
-                setattr(label, slot, sign)
-            propagate_element_label(label, parent_label)
+            label = self._labels.element_label(node, parent_label)
             cached = (label, label.permitted_under(self._open_policy))
             self._label_cache[key] = cached
         label, permitted = cached
@@ -323,23 +285,6 @@ class StreamLabeler:
                 self.stats.peak_pending_bytes = self._pending_bytes
             self._check_pending_budget()
 
-    def _node_signs(self, node: DispatchNode) -> tuple:
-        """Resolved ``(slot, sign)`` pairs for the authorizations whose
-        element part accepts at *node* — fixed per node, cached."""
-        signs = self._sign_cache.get(node)
-        if signs is None:
-            slot_auths: dict[str, list[Authorization]] = {}
-            compiled = self._compiled
-            for index in node.accepts:
-                entry = compiled[index]
-                slot_auths.setdefault(entry.slot, []).append(entry.auth)
-            signs = tuple(
-                (slot, resolve_slot_sign(auths, self._hierarchy, self._policy))
-                for slot, auths in slot_auths.items()
-            )
-            self._sign_cache[node] = signs
-        return signs
-
     def _decide_attributes(
         self, attributes: dict[str, str], node: DispatchNode, element_label: Label
     ) -> list[str]:
@@ -352,40 +297,19 @@ class StreamLabeler:
             # Element labels are interned, so the verdict caches by id.
             keep_all = self._inherit_cache.get(id(element_label))
             if keep_all is None:
-                inherited = Label()
-                propagate_attribute_label(inherited, element_label)
+                inherited = self._labels.inherited_label(element_label)
                 keep_all = inherited.permitted_under(open_policy)
                 self._inherit_cache[id(element_label)] = keep_all
             return list(attributes) if keep_all else []
         kept: list[str] = []
         label_id = id(element_label)
         cache = self._attr_cache
-        compiled = self._compiled
         for attr_name in attributes:
             key = (node, attr_name, label_id)
             keep = cache.get(key)
             if keep is None:
-                slot_auths: dict[str, list[Authorization]] = {}
-                for index, tails in node.attr_entries:
-                    for tail in tails:
-                        if tail is None or tail == attr_name:
-                            entry = compiled[index]
-                            # Recursive slots degrade on attributes
-                            # (terminal nodes), as in TreeLabeler._bin_one.
-                            slot = ATTRIBUTE_SLOT_DEGRADE.get(
-                                entry.slot, entry.slot
-                            )
-                            slot_auths.setdefault(slot, []).append(entry.auth)
-                            break
-                attr_label = Label()
-                for slot, auths in slot_auths.items():
-                    setattr(
-                        attr_label,
-                        slot,
-                        resolve_slot_sign(auths, self._hierarchy, self._policy),
-                    )
-                propagate_attribute_label(attr_label, element_label)
-                keep = attr_label.permitted_under(open_policy)
+                label = self._labels.attribute_label(node, attr_name, element_label)
+                keep = label.permitted_under(open_policy)
                 if len(cache) < 65536:  # hostile vocabularies stay bounded
                     cache[key] = keep
             if keep:

@@ -125,12 +125,12 @@ def is_name_char(ch: str) -> bool:
 
 
 def is_name(text: str) -> bool:
-    """Return ``True`` if *text* is a valid XML ``Name``."""
-    if not text:
-        return False
-    if not is_name_start_char(text[0]):
-        return False
-    return all(is_name_char(ch) for ch in text[1:])
+    """Return ``True`` if *text* is a valid XML ``Name``.
+
+    One C-level :data:`NAME_RE` match over the same character tables
+    as :func:`is_name_start_char` and :func:`is_name_char`.
+    """
+    return NAME_RE.fullmatch(text) is not None
 
 
 def is_nmtoken(text: str) -> bool:

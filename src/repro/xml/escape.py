@@ -8,6 +8,8 @@ predefined entities (plus caller-supplied general entities).
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XMLLimitExceeded, XMLSyntaxError
 from repro.xml.chars import is_name, is_xml_char
 
@@ -38,6 +40,9 @@ _ATTR_REPLACEMENTS = {
     "\r": "&#13;",
 }
 
+#: Any character :func:`escape_attribute` must replace.
+_ATTR_SPECIAL_RE = re.compile('[&<>"\n\t\r]')
+
 
 def escape_text(text: str) -> str:
     """Escape *text* for use as element character data.
@@ -64,7 +69,7 @@ def escape_attribute(value: str) -> str:
     escaped as a character reference so it survives attribute-value
     normalization on re-parse.
     """
-    if not any(ch in value for ch in '&<>"\n\t\r'):
+    if _ATTR_SPECIAL_RE.search(value) is None:
         return value
     return "".join(_ATTR_REPLACEMENTS.get(ch, ch) for ch in value)
 

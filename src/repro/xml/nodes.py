@@ -25,7 +25,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ReproError
-from repro.xml.chars import is_name
+from repro.xml.chars import NAME_RE, is_name
+
+#: :func:`~repro.xml.chars.is_name` as one bound C call, for the
+#: constructors every parse, copy and view build runs per node.
+_match_name = NAME_RE.fullmatch
 
 __all__ = [
     "Node",
@@ -80,13 +84,8 @@ class Node:
                 best = anc
         return best
 
-    # -- identity --------------------------------------------------------
-
-    def __hash__(self) -> int:  # identity hashing, explicit for clarity
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+    # Identity equality and hashing are object's own C-level defaults:
+    # every labeling and pruning pass keys side tables by node.
 
     # -- copying ----------------------------------------------------------
 
@@ -228,9 +227,11 @@ class Element(_ParentNode):
     __slots__ = ("name", "attributes")
 
     def __init__(self, name: str) -> None:
-        if not is_name(name):
+        if _match_name(name) is None:
             raise ReproError(f"invalid element name: {name!r}")
-        super().__init__()
+        # The base initializers, flattened: this runs once per element.
+        self.parent = None
+        self.children = []
         self.name = name
         self.attributes: dict[str, Attribute] = {}
 
@@ -339,9 +340,9 @@ class Attribute(Node):
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: str) -> None:
-        if not is_name(name):
+        if _match_name(name) is None:
             raise ReproError(f"invalid attribute name: {name!r}")
-        super().__init__()
+        self.parent = None
         self.name = name
         self.value = value
 
@@ -384,7 +385,7 @@ class Text(_LeafNode):
     __slots__ = ("data",)
 
     def __init__(self, data: str) -> None:
-        super().__init__()
+        self.parent = None
         self.data = data
 
     def clone(self, deep: bool = True) -> "Text":

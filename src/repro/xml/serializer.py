@@ -104,6 +104,8 @@ def _write(node: Node, parts: list[str]) -> None:
                 parts.append(">")
                 stack.append(f"</{current.name}>")
                 stack.extend(reversed(current.children))
+            elif type(current) is Text:  # the common leaf, inline
+                parts.append(escape_text(current.data))
             else:
                 _write(current, parts)  # leaf kinds below, never recurse deep
     elif isinstance(node, Text):

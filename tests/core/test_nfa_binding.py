@@ -8,16 +8,27 @@ the legacy per-auth ``xpath.eval`` loop whenever any path fails
 binders must produce the same per-node slot bins **in the same order**
 (binning order feeds conflict resolution), and therefore the same
 final labels.
+
+On an unbound labeler, ``run()`` goes further and binds *and* labels in
+that one walk, with interned labels; the property at the end holds it
+to the per-node walk node for node — six slots, final sign and bins —
+under every conflict policy, open and closed.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.authz.authorization import Authorization
+from repro.authz.conflict import policy_by_name
 from repro.core.labeling import TreeLabeler
+from repro.core.prune import build_view
+from repro.obs.trace import tracing
 from repro.stream.paths import StreamPathUnsupported, compile_stream_pattern
 from repro.subjects.hierarchy import SubjectHierarchy
 from repro.workloads.generator import synthetic_authorizations, synthetic_document
 from repro.xml.parser import parse_document
+from repro.xml.serializer import serialize
+from tests.core import strategies
 
 
 def auth(path, sign, auth_type):
@@ -32,8 +43,9 @@ def bind_both_ways(document, instance, schema):
     nfa = TreeLabeler(document, instance, schema, hierarchy)
     legacy = TreeLabeler(document, instance, schema, hierarchy)
     legacy._bin_via_nfa = lambda: False  # force the per-auth xpath path
-    used_nfa = nfa._bin_via_nfa()
-    legacy._bin_authorizations()
+    nfa.bind()
+    legacy.bind()
+    used_nfa = nfa._compile_dispatch() is not None
     return nfa, legacy, used_nfa
 
 
@@ -41,17 +53,18 @@ def assert_equivalent(document, instance, schema, expect_nfa=None):
     nfa, legacy, used_nfa = bind_both_ways(document, instance, schema)
     if expect_nfa is not None:
         assert used_nfa is expect_nfa
-    if not used_nfa:
-        nfa._bin_authorizations()  # let the fallback fill the bins
-    bins_nfa, bins_legacy = nfa._node_slot_auths, legacy._node_slot_auths
+    bins_nfa, bins_legacy = nfa.slot_bins(), legacy.slot_bins()
     assert set(bins_nfa) == set(bins_legacy)
     for node in bins_nfa:
         assert bins_nfa[node] == bins_legacy[node], node
-    finals_nfa = nfa.run().labels
     finals_legacy = legacy.run().labels
-    assert set(finals_nfa) == set(finals_legacy)
-    for node in finals_nfa:
-        assert finals_nfa[node].final == finals_legacy[node].final
+    # Bound labelers label node by node; a fresh one takes the fused
+    # bind-and-label walk whenever the paths compile exactly.
+    for labeler in (nfa, TreeLabeler(document, instance, schema, SubjectHierarchy())):
+        finals = labeler.run().labels
+        assert set(finals) == set(finals_legacy)
+        for node in finals:
+            assert finals[node].final == finals_legacy[node].final
 
 
 class TestSyntheticWorkloads:
@@ -131,3 +144,47 @@ class TestExactModeCompilation:
     )
     def test_non_exact_mode_still_accepts_lossy(self, path):
         compile_stream_pattern(path, exact=False)
+
+
+class TestFusedRun:
+    """``run()`` on a fresh labeler vs ``bind()`` + the per-node walk."""
+
+    @pytest.mark.parametrize("open_policy", [False, True], ids=["closed", "open"])
+    @pytest.mark.parametrize("policy_name", strategies.CONFLICT_POLICIES)
+    @given(
+        document=strategies.documents(),
+        pairs=st.lists(strategies.authorizations(), max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_walk_matches_per_node_walk(
+        self, policy_name, open_policy, document, pairs
+    ):
+        instance, schema = strategies.split(pairs)
+        hierarchy = strategies.hierarchy()
+
+        def labeler():
+            return TreeLabeler(
+                document, instance, schema, hierarchy,
+                policy=policy_by_name(policy_name),
+            )
+
+        fused_labeler = labeler()
+        with tracing() as tracer:
+            fused = fused_labeler.run()
+        # One walk: no separate binding pass ran.
+        assert "label.bind" not in {s.name for s in tracer.spans}
+        per_node_labeler = labeler().bind()
+        per_node = per_node_labeler.run()
+
+        assert set(fused.labels) == set(per_node.labels)
+        for node, label in fused.labels.items():
+            expected = per_node.labels[node]
+            assert label.as_tuple() == expected.as_tuple(), node
+            assert label.final == expected.final, node
+        assert fused.labeled_nodes == per_node.labeled_nodes
+        assert fused_labeler.slot_bins() == per_node_labeler.slot_bins()
+        views = [
+            serialize(build_view(document, result.labels, open_policy))
+            for result in (fused, per_node)
+        ]
+        assert views[0] == views[1]

@@ -1,6 +1,7 @@
 """Tests for compute_view orchestration (store selection, knobs, stats)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.authz.authorization import Authorization
 from repro.authz.store import AuthorizationStore
@@ -8,6 +9,8 @@ from repro.core.view import compute_view, compute_view_from_auths
 from repro.subjects.hierarchy import Requester
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
+from repro.xml.traversal import count_nodes
+from tests.core import strategies
 
 URI = "http://x/d.xml"
 DTD_URI = "http://x/d.dtd"
@@ -127,3 +130,53 @@ class TestComputeViewFromAuths:
         auths2 = [Authorization.build("Public", f"{URI}:pub", "+", "R")]
         strict = compute_view_from_auths(doc(), auths2, [], relative_mode="root")
         assert strict.empty
+
+
+def assert_counts_match_trees(document, result):
+    assert result.total_nodes == count_nodes(document.root)
+    view_root = result.document.root
+    assert result.visible_nodes == (
+        count_nodes(view_root) if view_root is not None else 0
+    )
+
+
+class TestNodeCounts:
+    """``total_nodes``/``visible_nodes`` come from the labeling and the
+    pruner, and must equal ``count_nodes`` over both trees."""
+
+    MIXED = (
+        "<a name='r'><!--c--><?pi data?><pub k='v'>open<!--in--><?p?></pub>"
+        "<sec>hidden<!--gone--><?gone?></sec></a>"
+    )
+
+    def test_empty_view(self):
+        document = doc()
+        result = compute_view_from_auths(
+            document, [Authorization.build("Public", f"{URI}://a", "-", "R")], []
+        )
+        assert result.empty
+        assert result.visible_nodes == 0
+        assert_counts_match_trees(document, result)
+
+    def test_comments_and_pis_are_counted(self):
+        document = parse_document(self.MIXED, uri=URI)
+        result = compute_view_from_auths(
+            document, [Authorization.build("Public", f"{URI}://pub", "+", "R")], []
+        )
+        # a (bare), pub, @k, "open", <!--in-->, <?p?>
+        assert result.visible_nodes == 6
+        assert_counts_match_trees(document, result)
+
+    @pytest.mark.parametrize("open_policy", [False, True], ids=["closed", "open"])
+    @given(
+        document=strategies.documents(),
+        pairs=st.lists(strategies.authorizations(), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_count_nodes(self, open_policy, document, pairs):
+        instance, schema = strategies.split(pairs)
+        result = compute_view_from_auths(
+            document, instance, schema, strategies.hierarchy(),
+            open_policy=open_policy,
+        )
+        assert_counts_match_trees(document, result)

@@ -168,8 +168,7 @@ class TestInvalidateUri:
         kept, dropped = cache.invalidate_uri(
             "u",
             keep=lambda key: key[1] == "disjoint",
-            store_version=3,
-            document_version=8,
+            versions=((3, 7), (3, 8)),
         )
         assert (kept, dropped) == (1, 1)
         # The survivor answers lookups at the *post-commit* versions.

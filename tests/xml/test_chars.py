@@ -105,3 +105,37 @@ class TestIsWhitespace:
 
     def test_empty_rejected(self):
         assert not is_whitespace("")
+
+
+class TestIsNameAtRangeBoundaries:
+    """``is_name`` is one regex match; it must agree with the
+    per-character predicates at both ends of every range of both
+    name-character tables, and just outside them."""
+
+    @staticmethod
+    def boundary_chars():
+        from repro.xml.chars import _NAME_EXTRA_RANGES, _NAME_START_RANGES
+
+        codes = set()
+        for low, high in _NAME_START_RANGES + _NAME_EXTRA_RANGES:
+            codes.update((low - 1, low, high, high + 1))
+        return [chr(code) for code in sorted(codes) if 0 < code <= 0x10FFFF]
+
+    def test_single_characters(self):
+        for ch in self.boundary_chars():
+            assert is_name(ch) == is_name_start_char(ch), hex(ord(ch))
+
+    def test_continuation_characters(self):
+        for ch in self.boundary_chars():
+            assert is_name("a" + ch) == is_name_char(ch), hex(ord(ch))
+            assert is_name("a" + ch + "b") == is_name_char(ch), hex(ord(ch))
+
+    def test_leading_characters(self):
+        for ch in self.boundary_chars():
+            assert is_name(ch + "a") == is_name_start_char(ch), hex(ord(ch))
+
+    def test_whole_string_only(self):
+        assert not is_name("")
+        assert not is_name("a\n")
+        assert not is_name("a b")
+        assert not is_name("1a")
