@@ -4,10 +4,9 @@
 Measures, per document size, through the server facade:
 
 - median serve latency and throughput (input characters per second)
-  for ``serve`` (DOM) and ``serve_stream`` (streaming), plus — up to
-  the 10k-node size S1 gates on — the median *cold* DOM serve: the
-  first ``serve`` of a freshly published deferred-parse copy, parse
-  included,
+  for ``serve`` (DOM) and ``serve_stream`` (streaming), plus the
+  median *cold* DOM serve: the first ``serve`` of a freshly published
+  deferred-parse copy, parse included,
 - peak Python-heap allocation of one request (``tracemalloc``), which
   is where the architectural difference shows: the DOM path peaks
   proportionally to the document, the streaming path to the *view
@@ -51,9 +50,6 @@ from repro.xml.serializer import serialize  # noqa: E402
 FAST = "--fast" in sys.argv or "--smoke" in sys.argv
 ROUNDS = 3 if FAST else 9
 SIZES = [2_000, 10_000] if FAST else [2_000, 10_000, 50_000, 150_000]
-#: Largest size whose cold DOM serve is measured: each round parses the
-#: document anew, and parse time grows faster than linearly with size.
-COLD_MAX_NODES = 10_000
 AUTHS = 16
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
@@ -169,12 +165,11 @@ def bench_size(nodes: int) -> dict:
             "peak_buffer_depth_p95": buffer_depth.quantile(0.95),
         },
     }
-    if nodes <= COLD_MAX_NODES:
-        cold_ms = cold_serve_ms(text)
-        row["dom_cold"] = {
-            "p50_ms": round(cold_ms, 3),
-            "throughput_mchars_s": round(chars / cold_ms / 1000, 3),
-        }
+    cold_ms = cold_serve_ms(text)
+    row["dom_cold"] = {
+        "p50_ms": round(cold_ms, 3),
+        "throughput_mchars_s": round(chars / cold_ms / 1000, 3),
+    }
     return row
 
 
@@ -217,7 +212,7 @@ def main() -> None:
         results.append(row)
         print(
             f"| {nodes} | {row['dom']['p50_ms']} "
-            f"| {row['dom_cold']['p50_ms'] if 'dom_cold' in row else '-'} "
+            f"| {row['dom_cold']['p50_ms']} "
             f"| {row['stream']['p50_ms']} "
             f"| {row['dom']['peak_heap_kib']} "
             f"| {row['stream']['peak_heap_kib']} |"

@@ -33,7 +33,7 @@ from repro.authz.restrictions import CredentialClause, HistoryLimit, ValidityWin
 from repro.errors import ValidationError
 from repro.server.cache import ViewCache
 from repro.server.service import PolicyConfig
-from repro.server.updates import InsertChild, SetAttribute, SetText, UpdateRequest
+from repro.update import InsertChild, SetAttribute, SetText, UpdateRequest
 from repro.xml.parser import parse_document
 
 BASE = "http://news.example/"

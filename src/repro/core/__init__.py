@@ -14,7 +14,6 @@ from repro.core.explain import (
     Explanation,
     NodeExplanation,
     SlotOrigin,
-    TracingLabeler,
     explain,
     explain_from_auths,
     explain_view,
@@ -47,7 +46,6 @@ __all__ = [
     "SlotDecision",
     "SlotOrigin",
     "StepTimings",
-    "TracingLabeler",
     "TreeLabeler",
     "ViewResult",
     "build_view",

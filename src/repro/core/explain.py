@@ -53,7 +53,6 @@ __all__ = [
     "explain",
     "explain_view",
     "explain_from_auths",
-    "TracingLabeler",
 ]
 
 
@@ -317,51 +316,6 @@ class Explanation:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.as_dict(), ensure_ascii=False, indent=indent)
-
-
-class TracingLabeler(TreeLabeler):
-    """A TreeLabeler with provenance recording always on.
-
-    Kept as the historical name for "labeler that records provenance";
-    today it is a thin shim over ``TreeLabeler(recorder=...)``. The
-    ``direct`` / ``inherited`` views mirror the pre-recorder API.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("recorder", ProvenanceRecorder())
-        super().__init__(*args, **kwargs)
-
-    @property
-    def recorder(self) -> ProvenanceRecorder:
-        return self._recorder
-
-    @property
-    def direct(self) -> dict[Node, dict[str, tuple[list, list]]]:
-        """node -> slot -> (winners, overridden), non-ε direct slots."""
-        out: dict[Node, dict[str, tuple[list, list]]] = {}
-        for node, decisions in self._recorder.decisions.items():
-            per_slot = {
-                slot: (decision.winners, decision.overridden)
-                for slot, decision in decisions.items()
-                if decision.sign != EPSILON
-            }
-            if per_slot:
-                out[node] = per_slot
-        return out
-
-    @property
-    def inherited(self) -> dict[Node, dict[str, Node]]:
-        """node -> slot -> ancestor the slot's sign propagated from."""
-        out: dict[Node, dict[str, Node]] = {}
-        for node, origins in self._recorder.origins.items():
-            per_slot = {
-                slot: origin_node
-                for slot, (origin_node, _slot) in origins.items()
-                if origin_node is not node
-            }
-            if per_slot:
-                out[node] = per_slot
-        return out
 
 
 def explain(

@@ -32,7 +32,7 @@ from repro.server.request import AccessRequest, AccessResponse, QueryRequest
 from repro.server.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
 from repro.server.service import AccessLimitExceeded, PolicyConfig, SecureXMLServer
 from repro.server.supervisor import CircuitBreaker, RestartPolicy, Supervisor
-from repro.server.updates import (
+from repro.update import (
     DeleteNode,
     InsertChild,
     RemoveAttribute,

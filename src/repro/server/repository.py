@@ -236,8 +236,10 @@ class Repository:
     """URI-keyed storage for documents and DTDs.
 
     Publication and removal are check-then-insert on the URI tables, so
-    they run under a repository lock; lookups are single dict reads
-    (atomic under the GIL) and stay lock-free.
+    those steps run under a repository lock; lookups are single dict
+    reads (atomic under the GIL) and stay lock-free. A publish checks
+    its URI under the lock, parses and validates without it, and checks
+    again as it inserts, so a long parse holds up no other URI.
     """
 
     def __init__(self) -> None:
@@ -298,26 +300,34 @@ class Repository:
         with self._lock:
             if uri in self._documents:
                 raise RepositoryError(f"a document is already stored at {uri!r}")
-            version = self._version_floor
-            if isinstance(content, Document):
-                stored = StoredDocument(uri, parsed=content, version=version)
-                content.uri = uri
-            else:
-                stored = StoredDocument(uri, text=content, version=version)
-                if defer_parse:
-                    stored.dtd_uri = dtd_uri
-                    stored.dtd_resolver = self._dtds.get
-                    self._documents[uri] = stored
-                    return stored
-            document = stored.document(limits=limits)
-            stored.dtd_uri = dtd_uri or document.system_id
-            if stored.dtd_uri and self.has_dtd(stored.dtd_uri):
-                published = self.dtd(stored.dtd_uri)
-                if document.dtd is None:
-                    document.dtd = published
-            if validate_on_add and document.dtd is not None:
-                validate(document, raise_on_error=True)
-            self._documents[uri] = stored
+        if isinstance(content, Document):
+            stored = StoredDocument(uri, parsed=content)
+            content.uri = uri
+        else:
+            stored = StoredDocument(uri, text=content)
+            if defer_parse:
+                stored.dtd_uri = dtd_uri
+                stored.dtd_resolver = self._dtds.get
+                return self._insert(stored)
+        # Parse and validate with no repository lock held, so a publish,
+        # removal or DTD at another URI never waits for this document.
+        document = stored.document(limits=limits)
+        stored.dtd_uri = dtd_uri or document.system_id
+        if stored.dtd_uri and document.dtd is None:
+            document.dtd = self._dtds.get(stored.dtd_uri)
+        if validate_on_add and document.dtd is not None:
+            validate(document, raise_on_error=True)
+        return self._insert(stored)
+
+    def _insert(self, stored: StoredDocument) -> StoredDocument:
+        """Bind *stored* to its URI unless a concurrent publish won."""
+        with self._lock:
+            if stored.uri in self._documents:
+                raise RepositoryError(
+                    f"a document is already stored at {stored.uri!r}"
+                )
+            stored.version = self._version_floor
+            self._documents[stored.uri] = stored
             return stored
 
     def document(self, uri: str) -> Document:

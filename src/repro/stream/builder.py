@@ -1,10 +1,11 @@
 """Rebuild a :mod:`repro.xml.nodes` tree from a stream of events.
 
-:class:`DocumentBuilder` is the bridge between the incremental reader
-and code that still wants a DOM: ``document_from_events(iter_events(
-chunks))`` produces a tree node-for-node identical to
-:func:`repro.xml.parser.parse_document` of the concatenated text —
-including the parser's quirks that matter for view parity:
+:class:`DocumentBuilder` is the second half of every XML parse:
+:func:`repro.xml.parser.parse_document` and ``parse_document_chunks``
+pass it to the reader as its event sink, so it builds each construct as
+soon as the reader has read it, and
+``document_from_events(iter_events(chunks))`` does the same for any
+event source. Its tree conventions, which matter for view parity:
 
 - only elements and text nodes created outside CDATA are charged
   against ``max_node_count`` (attributes, comments and PIs are free);
@@ -19,7 +20,10 @@ including the parser's quirks that matter for view parity:
 The reader already enforces the input/depth/buffer guards and syntax;
 the builder adds only the node-count guard, which is a property of
 *materializing* the tree and deliberately does not apply to the
-streaming enforcement path.
+streaming enforcement path. Handed :meth:`DocumentBuilder.check_node_room`
+as its ``on_start_tag`` hook, the reader lets the builder refuse an
+element over the budget as soon as its name is read, before the rest of
+its tag is checked, as a tree parser would.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ __all__ = ["DocumentBuilder", "document_from_events"]
 class DocumentBuilder:
     """Accumulate events into a :class:`Document`; feed(), then finish()."""
 
-    #: Node creations between two deadline checks (mirrors XMLParser).
+    #: Node creations between two deadline checks.
     _DEADLINE_STRIDE = 1024
 
     def __init__(
@@ -83,35 +87,60 @@ class DocumentBuilder:
 
     def feed(self, events: Iterable[StreamEvent]) -> None:
         for event in events:
-            if isinstance(event, Characters):
-                self._on_characters(event)
-                continue
+            self.append(event)
+
+    def append(self, event: StreamEvent) -> None:
+        """Build one event.
+
+        The name lets a builder stand in for the event list of
+        :meth:`~repro.stream.reader.StreamReader.feed`, which then hands
+        over each construct as soon as it has read it.
+        """
+        if isinstance(event, Characters):
+            self._on_characters(event)
+            return
+        if self._segment_pending:
             self._flush_segment()
-            if isinstance(event, StartElement):
-                self._on_start(event)
-            elif isinstance(event, EndElement):
-                self._stack.pop()
-            elif isinstance(event, CommentEvent):
-                if self._keep_comments:
-                    self._append(Comment(event.data))
-            elif isinstance(event, PIEvent):
-                self._append(ProcessingInstruction(event.target, event.data))
-            elif isinstance(event, StartDocument):
-                self._document.xml_version = event.xml_version
-                self._document.encoding = event.encoding
-                self._document.standalone = event.standalone
-            elif isinstance(event, DoctypeDecl):
-                self._document.doctype_name = event.name
-                self._document.system_id = event.system_id
-                self._document.dtd = event.dtd
-            elif isinstance(event, EndDocument):
-                self._finished = True
+        if isinstance(event, StartElement):
+            self._on_start(event)
+        elif isinstance(event, EndElement):
+            self._stack.pop()
+        elif isinstance(event, CommentEvent):
+            if self._keep_comments:
+                self._append(Comment(event.data))
+        elif isinstance(event, PIEvent):
+            self._append(ProcessingInstruction(event.target, event.data))
+        elif isinstance(event, StartDocument):
+            self._document.xml_version = event.xml_version
+            self._document.encoding = event.encoding
+            self._document.standalone = event.standalone
+        elif isinstance(event, DoctypeDecl):
+            self._document.doctype_name = event.name
+            self._document.system_id = event.system_id
+            self._document.dtd = event.dtd
+        elif isinstance(event, EndDocument):
+            self._finished = True
 
     def finish(self) -> Document:
         """The completed tree (after the reader's ``EndDocument``)."""
         if not self._finished:
             raise XMLSyntaxError("event stream ended without EndDocument")
         return self._document
+
+    def check_node_room(self) -> None:
+        """Trip ``max_node_count`` now if one more node would exceed it.
+
+        The reader calls this when it reads a start tag's name (its
+        ``on_start_tag`` hook); the element itself is charged when its
+        :class:`~repro.stream.events.StartElement` arrives.
+        """
+        limits = self._limits
+        if (
+            limits is not None
+            and limits.max_node_count is not None
+            and self._nodes >= limits.max_node_count
+        ):
+            self._over_budget(self._nodes + 1)
 
     # -- event handling -----------------------------------------------------
 
@@ -180,14 +209,18 @@ class DocumentBuilder:
             and limits.max_node_count is not None
             and self._nodes > limits.max_node_count
         ):
-            raise XMLLimitExceeded(
-                f"document exceeds the {limits.max_node_count}-node limit",
-                limit="max_node_count",
-                value=self._nodes,
-                maximum=limits.max_node_count,
-            )
+            self._over_budget(self._nodes)
         if self._deadline is not None and self._nodes % self._DEADLINE_STRIDE == 0:
             self._deadline.check("tree build")
+
+    def _over_budget(self, nodes: int) -> None:
+        maximum = self._limits.max_node_count
+        raise XMLLimitExceeded(
+            f"document exceeds the {maximum}-node limit",
+            limit="max_node_count",
+            value=nodes,
+            maximum=maximum,
+        )
 
 
 def document_from_events(

@@ -2,23 +2,23 @@
 
 :class:`~repro.stream.reader.StreamReader` turns XML text into a flat
 sequence of these events; :class:`~repro.stream.labeler.StreamLabeler`
-consumes them. The vocabulary mirrors what the DOM parser materializes,
-so a tree rebuilt from the events (``document_from_events``) is
-node-for-node identical to :func:`repro.xml.parser.parse_document` of
-the same text.
+consumes them, and :class:`~repro.stream.builder.DocumentBuilder`
+rebuilds trees from them. The vocabulary carries everything a tree
+holds: :func:`repro.xml.parser.parse_document` is the reader plus the
+builder.
 
 Character data needs two flags beyond the raw string:
 
 ``cdata``
-    The data came from a ``<![CDATA[...]]>`` section. The DOM parser
-    skips well-formedness checks inside CDATA and does not charge the
-    resulting text node against ``max_node_count``; consumers that
-    rebuild trees must mirror both.
+    The data came from a ``<![CDATA[...]]>`` section. The reader skips
+    well-formedness checks inside CDATA, and a tree does not charge
+    CDATA-born text against ``max_node_count``; consumers that rebuild
+    trees must do the same.
 ``new_segment``
     True on the first event of a markup-delimited text run. Long runs
     may be emitted in several :class:`Characters` events (bounded
-    memory); the flag lets tree builders reassemble the exact segments
-    the DOM parser saw, which matters for the per-segment
+    memory); the flag lets tree builders reassemble the exact
+    markup-delimited segments, which matters for the per-segment
     ignorable-whitespace drop.
 """
 

@@ -1,12 +1,18 @@
-"""An incremental (feed-style) XML tokenizer.
+"""An incremental (feed-style) XML tokenizer, the only one in the code base.
 
 :class:`StreamReader` accepts the document in arbitrary chunks and
-emits :mod:`repro.stream.events`. It recognizes exactly the language of
-:class:`repro.xml.parser.XMLParser` — same character classes, same
-attribute-value normalization, same reference resolution, same
-well-formedness checks — so a tree rebuilt from its events is identical
-to a DOM parse of the same text (property-tested, including against the
-frozen seed per-character reader in ``tests/stream/_seed_reader.py``).
+emits :mod:`repro.stream.events`. Every XML parse runs on it:
+:func:`repro.xml.parser.parse_document` hands it a whole text as the
+final chunk of :meth:`~StreamReader.close`, with a
+:class:`~repro.stream.builder.DocumentBuilder` as the event sink that
+builds each construct as it is read; ``parse_document_chunks`` and the
+streaming backend feed it chunk by chunk. Any chunking yields the same
+events. Property tests hold its trees, error types and guard trips to
+an independent recursive-descent reference parser
+(``tests/xml/_reference_parser.py``), and its events, messages and
+positions to the frozen seed per-character reader
+(``tests/stream/_seed_reader.py``). A syntax error reports the line and
+column where the failing construct starts.
 
 The hot loop is *bulk-scanning*: instead of stepping character by
 character, the tokenizer jumps straight to the next construct boundary
@@ -31,18 +37,18 @@ The reader holds back only what it must:
 That carry-over buffer is bounded by
 ``ResourceLimits.max_stream_buffer_bytes``; documents of any length
 stream in constant memory as long as no single construct exceeds the
-budget.
+budget. ``parse_document``, which holds its whole text already, reads
+it with the end of input known and holds nothing back.
 
 Input-budget accounting (``max_input_bytes``) charges *normalized*
-characters — after ``\\r\\n`` → ``\\n`` folding — exactly as the DOM
-parser does, so the same document costs the same through either
-backend regardless of its line endings.
+characters — after ``\\r\\n`` → ``\\n`` folding — so the same document
+costs the same regardless of its line endings.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 from repro.errors import LimitExceeded, XMLLimitExceeded, XMLSyntaxError
 from repro.limits import Deadline, ResourceLimits
@@ -66,7 +72,7 @@ from repro.stream.events import (
     StreamEvent,
 )
 
-__all__ = ["StreamReader", "iter_events"]
+__all__ = ["EventSink", "StreamReader", "iter_events"]
 
 _PROLOG = 0
 _CONTENT = 1
@@ -80,6 +86,13 @@ _DEADLINE_STRIDE = 256
 _DOCTYPE_SCAN = re.compile(r"[\"'\[\]>]")
 
 
+class EventSink(Protocol):
+    """Where :meth:`StreamReader.feed` puts events: a list, or a
+    consumer that handles each event as it is appended."""
+
+    def append(self, event: StreamEvent) -> None: ...
+
+
 class StreamReader:
     """One incremental parse; feed() chunks, then close()."""
 
@@ -87,8 +100,16 @@ class StreamReader:
         self,
         limits: Optional[ResourceLimits] = None,
         deadline: Optional[Deadline] = None,
+        on_start_tag: Optional[Callable[[], None]] = None,
     ) -> None:
+        """*on_start_tag*, if given, is called as soon as a start tag's
+        name is read, before the rest of the tag is checked.
+        :class:`~repro.stream.builder.DocumentBuilder` checks its node
+        budget there, so a document over that budget is refused at the
+        first element past it even when that element's tag is damaged.
+        """
         self._limits = limits
+        self._on_start_tag = on_start_tag
         self._deadline = (
             deadline if deadline is not None and not deadline.unbounded else None
         )
@@ -122,53 +143,46 @@ class StreamReader:
 
     # -- public -------------------------------------------------------------
 
-    def feed(self, chunk: str) -> list[StreamEvent]:
-        """Accept the next chunk; return the events it completed."""
+    def feed(self, chunk: str, out: Optional[EventSink] = None) -> EventSink:
+        """Accept the next chunk; append the events it completed to *out*.
+
+        *out* defaults to a new list, and is returned. Any object with
+        an ``append`` method will do: a
+        :class:`~repro.stream.builder.DocumentBuilder` passed as *out*
+        builds each construct as soon as it is read, so its node-count
+        guard trips before the reader looks at the next construct and
+        no list of the chunk's events is ever held.
+        """
         if self._finished:
             raise ValueError("reader already closed")
-        events: list[StreamEvent] = []
-        if chunk:
-            prefix = ""
-            if self._pending_cr:
-                self._pending_cr = False
-                if not chunk.startswith("\n"):
-                    prefix = "\n"
-            if chunk.endswith("\r"):
-                self._pending_cr = True
-                chunk = chunk[:-1]
-            if "\r" in chunk:
-                chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
-            added = prefix + chunk if prefix else chunk
-            if added:
-                # Budget accounting is post-normalization, matching the
-                # DOM parser: a CRLF document costs its folded length.
-                self._chars_fed += len(added)
-                self._check_input_budget()
-                if self._pos:
-                    # Compact the consumed prefix away exactly once per
-                    # feed; within a pump the buffer is immutable and
-                    # consumption is just an offset bump.
-                    self._buf = self._buf[self._pos :] + added
-                    self._pos = 0
-                else:
-                    self._buf += added
-                self._pump(events, at_eof=False)
-                self._check_buffer_budget()
+        events = [] if out is None else out
+        if self._accept(chunk):
+            self._pump(events, at_eof=False)
+            self._check_buffer_budget()
         if self._deadline is not None:
             self._deadline.check("stream parse")
         return events
 
-    def close(self) -> list[StreamEvent]:
-        """Signal end of input; return the final events."""
+    def close(self, out: Optional[EventSink] = None, last: str = "") -> EventSink:
+        """Signal end of input; append the final events to *out* (as
+        :meth:`feed` does) and return it.
+
+        *last* is a final chunk read with the end of input already
+        known, so no construct in it waits for more: a document that
+        ends inside a text run is refused before that text is handed
+        out. ``close(out, text)`` reads a whole document.
+        """
         if self._finished:
             raise ValueError("reader already closed")
+        if last.endswith("\r"):
+            # Nothing follows: the CR ends a line now, and the input
+            # budget is charged for it with the rest of the chunk.
+            last += "\n"
+        self._accept(last)
         if self._pending_cr:
             self._pending_cr = False
-            self._chars_fed += 1
-            self._check_input_budget()
-            self._buf = self._buf[self._pos :] + "\n"
-            self._pos = 0
-        events: list[StreamEvent] = []
+            self._accept("\n")
+        events = [] if out is None else out
         self._pump(events, at_eof=True)
         if self._state == _CONTENT:
             self._fail(f"unterminated element <{self._stack[-1]}>")
@@ -183,9 +197,41 @@ class StreamReader:
         self._finished = True
         return events
 
+    def _accept(self, chunk: str) -> bool:
+        """Fold *chunk*'s line ends and append it to the buffer; False
+        when that adds nothing (an empty chunk, or a lone held-back CR)."""
+        if not chunk:
+            return False
+        prefix = ""
+        if self._pending_cr:
+            self._pending_cr = False
+            if not chunk.startswith("\n"):
+                prefix = "\n"
+        if chunk.endswith("\r"):
+            self._pending_cr = True
+            chunk = chunk[:-1]
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        added = prefix + chunk if prefix else chunk
+        if not added:
+            return False
+        # Budget accounting is post-normalization: a CRLF document
+        # costs its folded length.
+        self._chars_fed += len(added)
+        self._check_input_budget()
+        if self._pos:
+            # Compact the consumed prefix away exactly once per chunk;
+            # within a pump the buffer is immutable and consumption is
+            # just an offset bump.
+            self._buf = self._buf[self._pos :] + added
+            self._pos = 0
+        else:
+            self._buf += added
+        return True
+
     # -- pump loop ----------------------------------------------------------
 
-    def _pump(self, events: list[StreamEvent], at_eof: bool) -> None:
+    def _pump(self, events: EventSink, at_eof: bool) -> None:
         while self._step(events, at_eof):
             self._events += 1
             if (
@@ -194,7 +240,7 @@ class StreamReader:
             ):
                 self._deadline.check("stream parse")
 
-    def _step(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _step(self, events: EventSink, at_eof: bool) -> bool:
         """Emit at most one construct; False when more input is needed."""
         if self._state == _CONTENT:
             return self._step_content(events, at_eof)
@@ -202,7 +248,7 @@ class StreamReader:
 
     # -- prolog / epilog ----------------------------------------------------
 
-    def _step_misc(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _step_misc(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         n = len(buf)
@@ -245,9 +291,7 @@ class StreamReader:
             self._fail("unexpected content after root element")
         return self._read_start_tag(events, at_eof)
 
-    def _read_xml_declaration(
-        self, events: list[StreamEvent], at_eof: bool
-    ) -> bool:
+    def _read_xml_declaration(self, events: EventSink, at_eof: bool) -> bool:
         pos = self._pos
         end = self._find_unquoted("?>", pos + 5)
         if end is None:
@@ -306,7 +350,7 @@ class StreamReader:
             attrs[name] = body[i + 1 : closing]
             i = closing + 1
 
-    def _read_doctype(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_doctype(self, events: EventSink, at_eof: bool) -> bool:
         if self._seen_doctype:
             self._fail("multiple DOCTYPE declarations")
         pos = self._pos
@@ -439,7 +483,7 @@ class StreamReader:
 
     # -- content ------------------------------------------------------------
 
-    def _step_content(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _step_content(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         n = len(buf)
@@ -472,7 +516,7 @@ class StreamReader:
             return self._read_pi(events, at_eof)
         return self._read_start_tag(events, at_eof)
 
-    def _read_text(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_text(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         idx = buf.find("<", pos)
@@ -500,7 +544,7 @@ class StreamReader:
         return True
 
     def _emit_text(
-        self, events: list[StreamEvent], start: int, end: int, final: bool
+        self, events: EventSink, start: int, end: int, final: bool
     ) -> None:
         raw = self._buf[start:end]
         if "]]>" in raw:
@@ -523,7 +567,7 @@ class StreamReader:
         self._segment_open = not final
         self._consume(end - start)
 
-    def _read_cdata(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_cdata(self, events: EventSink, at_eof: bool) -> bool:
         pos = self._pos
         end = self._buf.find("]]>", pos + 9)
         if end == -1:
@@ -534,7 +578,7 @@ class StreamReader:
         self._consume(end + 3 - pos)
         return True
 
-    def _read_end_tag(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_end_tag(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         end = buf.find(">", pos + 2)
@@ -563,7 +607,7 @@ class StreamReader:
             self._state = _EPILOG
         return True
 
-    def _read_comment(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_comment(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         end = buf.find("--", pos + 4)
@@ -580,7 +624,7 @@ class StreamReader:
         self._consume(end + 3 - pos)
         return True
 
-    def _read_pi(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_pi(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
         pos = self._pos
         end = buf.find("?>", pos + 2)
@@ -607,7 +651,7 @@ class StreamReader:
         self._consume(end + 2 - pos)
         return True
 
-    def _read_start_tag(self, events: list[StreamEvent], at_eof: bool) -> bool:
+    def _read_start_tag(self, events: EventSink, at_eof: bool) -> bool:
         pos = self._pos
         end = self._find_unquoted(">", pos + 1)
         if end is None:
@@ -617,7 +661,7 @@ class StreamReader:
         return self._parse_tag(events, pos + 1, end, at_eof=False)
 
     def _parse_tag(
-        self, events: list[StreamEvent], start: int, end: int, at_eof: bool
+        self, events: EventSink, start: int, end: int, at_eof: bool
     ) -> bool:
         """Parse ``name attrs...[/]`` — ``buf[start:end]`` is the inside
         of a start tag."""
@@ -626,6 +670,8 @@ class StreamReader:
         if match is None:
             self._fail("expected a name")
         name = match.group()
+        if self._on_start_tag is not None:
+            self._on_start_tag()
         i = match.end()
         attributes: dict[str, str] = {}
         self_closing = False
@@ -750,7 +796,7 @@ class StreamReader:
                 maximum=limits.max_stream_buffer_bytes,
             )
 
-    def _ensure_started(self, events: list[StreamEvent]) -> None:
+    def _ensure_started(self, events: EventSink) -> None:
         if not self._started:
             self._started = True
             events.append(StartDocument())

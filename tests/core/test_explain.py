@@ -3,7 +3,7 @@
 import pytest
 
 from repro.authz.authorization import Authorization
-from repro.core.explain import TracingLabeler, explain, explain_view
+from repro.core.explain import explain, explain_view
 from repro.errors import ReproError
 from repro.subjects.hierarchy import Requester, SubjectHierarchy
 from repro.workloads.scenarios import lab_scenario
@@ -151,7 +151,7 @@ class TestExplainApi:
 
 class TestTracingMatchesPlainLabeler:
     def test_same_finals_on_workload(self):
-        from repro.core.labeling import TreeLabeler
+        from repro.core.labeling import ProvenanceRecorder, TreeLabeler
         from repro.workloads.generator import build_workload
 
         workload = build_workload(nodes=300, auth_count=16, seed=5)
@@ -161,11 +161,12 @@ class TestTracingMatchesPlainLabeler:
             workload.schema_auths,
             workload.store.hierarchy,
         ).run()
-        traced = TracingLabeler(
+        traced = TreeLabeler(
             workload.document,
             workload.instance_auths,
             workload.schema_auths,
             workload.store.hierarchy,
+            recorder=ProvenanceRecorder(),
         ).run()
         for node in plain.labels:
             assert plain.labels[node].final == traced.labels[node].final

@@ -15,8 +15,8 @@ from repro.server.cache import ViewCache
 from repro.server.persistence import load_server, save_server
 from repro.server.request import AccessRequest
 from repro.server.service import SecureXMLServer
-from repro.server.updates import SetText, UpdateRequest
 from repro.subjects.hierarchy import Requester
+from repro.update import SetText, UpdateRequest
 
 URI = "http://x/d.xml"
 

@@ -20,14 +20,14 @@ from repro.dtd.validator import validate
 from repro.errors import ReproError
 from repro.server.request import AccessRequest
 from repro.server.service import SecureXMLServer
-from repro.server.updates import (
+from repro.subjects.hierarchy import Requester
+from repro.update import (
     DeleteNode,
     InsertChild,
     SetAttribute,
     SetText,
     UpdateRequest,
 )
-from repro.subjects.hierarchy import Requester
 
 URI = "http://x/board.xml"
 DTD_URI = "http://x/board.dtd"

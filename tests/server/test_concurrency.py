@@ -38,9 +38,9 @@ from repro.server.concurrent import (
 )
 from repro.server.request import AccessRequest, QueryRequest
 from repro.server.service import SecureXMLServer
-from repro.server.updates import SetText, UpdateRequest
 from repro.subjects.hierarchy import Requester
 from repro.testing.faults import FAULTS, FaultInjector, InjectedFault
+from repro.update import SetText, UpdateRequest
 
 URI = "http://x/archive.xml"
 DTD_URI = "http://x/archive.dtd"

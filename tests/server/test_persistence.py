@@ -131,7 +131,7 @@ class TestErrors:
         assert os.path.exists(os.path.join(deep, "repository.xml"))
 
     def test_updates_after_reload_persistable(self, server, tmp_path):
-        from repro.server.updates import SetText, UpdateRequest
+        from repro.update import SetText, UpdateRequest
 
         state = str(tmp_path / "state")
         for action in ("write", "read"):

@@ -1,9 +1,13 @@
 """Tests for the document/DTD repository."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import RepositoryError, ValidationError
 from repro.dtd.parser import parse_dtd
+from repro.server import repository as repository_module
 from repro.server.repository import Repository
 from repro.xml.parser import parse_document
 
@@ -109,3 +113,120 @@ class TestDtdLinking:
     def test_unpublished_dtd_uri_allowed(self, repo):
         repo.add_document("http://x/d.xml", "<a/>", dtd_uri="http://elsewhere/d.dtd")
         assert repo.dtd_uri_of("http://x/d.xml") == "http://elsewhere/d.dtd"
+
+
+class TestParseOutsideTheRepositoryLock:
+    """An eager publish parses with no repository lock held: a long
+    parse at one URI holds up no publish at another."""
+
+    def test_publish_at_another_uri_completes_during_a_slow_parse(
+        self, repo, monkeypatch
+    ):
+        parsing = threading.Event()
+        release = threading.Event()
+
+        def slow_parse(text, uri=None, **options):
+            if uri == "http://x/slow.xml":
+                parsing.set()
+                release.wait(10)
+            return parse_document(text, uri=uri, **options)
+
+        monkeypatch.setattr(repository_module, "parse_document", slow_parse)
+        slow = threading.Thread(
+            target=repo.add_document, args=("http://x/slow.xml", "<a>slow</a>")
+        )
+        other = threading.Thread(
+            target=repo.add_document, args=("http://x/fast.xml", "<a>fast</a>")
+        )
+        slow.start()
+        try:
+            assert parsing.wait(5)
+            other.start()
+            other.join(5)
+            blocked = other.is_alive()
+            published_meanwhile = repo.has_document("http://x/fast.xml")
+        finally:
+            release.set()
+            slow.join(5)
+            if other.ident is not None:
+                other.join(5)
+        assert not blocked
+        assert published_meanwhile
+        assert not slow.is_alive() and not other.is_alive()
+        assert repo.document("http://x/slow.xml").root.text() == "slow"
+
+    def test_concurrent_publishes_at_one_uri_store_one_document(
+        self, repo, monkeypatch
+    ):
+        # Both publishes pass the first URI check and parse side by side;
+        # the check at insertion lets exactly one of them in.
+        both_parsing = threading.Barrier(2, timeout=5)
+
+        def overlapping_parse(text, **options):
+            both_parsing.wait()
+            return parse_document(text, **options)
+
+        monkeypatch.setattr(
+            repository_module, "parse_document", overlapping_parse
+        )
+        outcomes = []
+
+        def publish(text):
+            try:
+                outcomes.append(("stored", repo.add_document("http://x/d.xml", text)))
+            except RepositoryError as exc:
+                outcomes.append(("refused", exc))
+
+        threads = [
+            threading.Thread(target=publish, args=(f"<a>{n}</a>",)) for n in (1, 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(kind for kind, _ in outcomes) == ["refused", "stored"]
+        (winner,) = [stored for kind, stored in outcomes if kind == "stored"]
+        assert repo.stored("http://x/d.xml") is winner
+        assert list(repo.documents()) == ["http://x/d.xml"]
+
+    def test_racing_publishes_and_removals_keep_one_document_per_uri(self):
+        """Stress: more threads than cores publish and remove at a few
+        URIs with a short switch interval. Every URI ends with at most
+        one document, and versions at a URI never repeat."""
+        repo = Repository()
+        uris = [f"http://x/{n}.xml" for n in range(3)]
+        seen = {uri: [] for uri in uris}
+        guard = threading.Lock()
+
+        def churn(worker):
+            for step in range(40):
+                uri = uris[(worker + step) % len(uris)]
+                try:
+                    stored = repo.add_document(uri, f"<a>{worker}.{step}</a>")
+                except RepositoryError:
+                    continue
+                with guard:
+                    seen[uri].append(stored.version)
+                try:
+                    repo.remove_document(uri)
+                except RepositoryError:
+                    pass
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for uri in uris:
+            assert seen[uri], f"no publish at {uri} succeeded"
+            assert len(set(seen[uri])) == len(seen[uri]), seen[uri]
+        assert len(list(repo.documents())) <= len(uris)

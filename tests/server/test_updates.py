@@ -6,7 +6,8 @@ from repro.authz.authorization import Authorization
 from repro.errors import ValidationError
 from repro.server.request import AccessRequest
 from repro.server.service import SecureXMLServer
-from repro.server.updates import (
+from repro.subjects.hierarchy import Requester
+from repro.update import (
     DeleteNode,
     InsertChild,
     RemoveAttribute,
@@ -15,7 +16,6 @@ from repro.server.updates import (
     UpdateDenied,
     UpdateRequest,
 )
-from repro.subjects.hierarchy import Requester
 
 URI = "http://x/tasks.xml"
 DTD_URI = "http://x/tasks.dtd"

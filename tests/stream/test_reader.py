@@ -1,10 +1,13 @@
-"""The incremental tokenizer against the DOM parser, chunk by chunk.
+"""The incremental tokenizer against the reference parser, chunk by chunk.
 
 The contract: for any chunking of the input — including one character
 at a time, which puts every entity reference, character reference, tag,
 CDATA marker and CRLF pair across a chunk boundary —
-``parse_document_chunks`` builds the same tree, raises the same errors,
-and honors the same guards as ``parse_document`` of the joined text.
+``parse_document_chunks`` builds the same tree and raises the same
+errors as the recursive-descent reference parser
+(``tests/xml/_reference_parser.py``) given the joined text, and it
+honors the same guards. ``parse_document`` runs on the same reader, so
+it is no reference for it.
 """
 
 import dataclasses
@@ -13,10 +16,19 @@ import pytest
 
 from repro.errors import XMLLimitExceeded, XMLSyntaxError
 from repro.limits import ResourceLimits
-from repro.stream import DocumentBuilder, document_from_events, iter_events
-from repro.xml.parser import parse_document, parse_document_chunks
+from repro.stream import (
+    Characters,
+    DocumentBuilder,
+    StartDocument,
+    StartElement,
+    StreamReader,
+    document_from_events,
+    iter_events,
+)
+from repro.xml.parser import parse_document_chunks
 from repro.xml.serializer import serialize
 from repro.xml.traversal import count_nodes
+from tests.xml._reference_parser import reference_parse
 
 TRICKY = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -55,14 +67,14 @@ def assert_same_tree(reference, rebuilt):
 class TestChunkParity:
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 16, 64, 10_000])
     def test_every_split_matches_the_dom_parser(self, size):
-        reference = parse_document(TRICKY, uri="u")
+        reference = reference_parse(TRICKY)
         rebuilt = parse_document_chunks(chunked(TRICKY, size), uri="u")
         assert_same_tree(reference, rebuilt)
 
     @pytest.mark.parametrize("keep_comments", [True, False])
     @pytest.mark.parametrize("keep_ws", [True, False])
     def test_keep_flags_match(self, keep_comments, keep_ws):
-        reference = parse_document(
+        reference = reference_parse(
             TRICKY,
             keep_comments=keep_comments,
             keep_ignorable_whitespace=keep_ws,
@@ -81,7 +93,7 @@ class TestChunkParity:
             '<!DOCTYPE a [<!ENTITY who "world">]>'
             "<a t='x&#72;y'>&who;&amp;&#x41;&#66;</a>"
         )
-        reference = parse_document(text)
+        reference = reference_parse(text)
         for size in range(1, 9):
             rebuilt = parse_document_chunks(chunked(text, size))
             assert_same_tree(reference, rebuilt)
@@ -89,7 +101,7 @@ class TestChunkParity:
 
     def test_crlf_split_between_cr_and_lf(self):
         text = "<a>line1\r\nline2\rline3</a>"
-        reference = parse_document(text)
+        reference = reference_parse(text)
         # Force the boundary exactly between '\r' and '\n'.
         cut = text.index("\r\n") + 1
         rebuilt = parse_document_chunks([text[:cut], text[cut:]])
@@ -98,7 +110,7 @@ class TestChunkParity:
 
     def test_cdata_end_marker_split(self):
         text = "<a><![CDATA[x]]y]]></a>"
-        reference = parse_document(text)
+        reference = reference_parse(text)
         for size in (1, 2, 3):
             assert_same_tree(
                 reference, parse_document_chunks(chunked(text, size))
@@ -120,7 +132,7 @@ class TestErrorParity:
     @pytest.mark.parametrize("size", [1, 4, 10_000])
     def test_malformed_fails_in_both(self, text, size):
         with pytest.raises(XMLSyntaxError):
-            parse_document(text)
+            reference_parse(text)
         with pytest.raises(XMLSyntaxError):
             parse_document_chunks(chunked(text, size))
 
@@ -156,7 +168,7 @@ class TestGuards:
 
 class TestEventApi:
     def test_document_from_events_round_trips(self):
-        reference = parse_document(TRICKY, uri="u")
+        reference = reference_parse(TRICKY)
         rebuilt = document_from_events(
             iter_events(chunked(TRICKY, 5)), uri="u"
         )
@@ -166,3 +178,16 @@ class TestEventApi:
         builder = DocumentBuilder()
         with pytest.raises(XMLSyntaxError):
             builder.finish()
+
+    def test_final_chunk_is_read_with_the_end_of_input_known(self):
+        events = StreamReader().close(last=TRICKY)
+        assert events == list(iter_events([TRICKY]))
+        # A fed text run may go out before the reader knows whether
+        # markup follows; a final chunk's run is refused first.
+        assert StreamReader().feed("<a>text") == [
+            StartDocument(), StartElement("a"), Characters("text")
+        ]
+        handed_out = []
+        with pytest.raises(XMLSyntaxError, match="unterminated element"):
+            StreamReader().close(handed_out, "<a>text")
+        assert handed_out == [StartDocument(), StartElement("a")]

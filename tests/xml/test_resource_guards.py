@@ -8,6 +8,8 @@ stage's native error class), carries machine-readable limit metadata,
 and fires fast — no hangs, no RecursionError, no memory blow-up.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import (
@@ -79,6 +81,38 @@ class TestParserGuards:
         with pytest.raises(LimitExceeded) as excinfo:
             parse_document(flood, limits=ResourceLimits(max_node_count=100))
         assert excinfo.value.limit == "max_node_count"
+
+    @pytest.mark.parametrize(
+        "flood",
+        [
+            "<r>" + "<x/>" * 1_000 + "</y>",  # bad end tag far past the cap
+            "<r>" + "<x/>" * 99 + "<x a='1' a='2'/></r>",  # bad tag at it
+        ],
+    )
+    def test_node_count_cap_trips_before_later_syntax_errors(self, flood):
+        # The tree is built as the text is read: the cap trips at the
+        # first element past it, before the reader checks anything
+        # further, including the rest of that element's own tag.
+        with pytest.raises(LimitExceeded) as excinfo:
+            parse_document(flood, limits=ResourceLimits(max_node_count=100))
+        assert excinfo.value.limit == "max_node_count"
+        assert excinfo.value.value == 101
+
+    def test_node_flood_memory_is_bounded_by_the_cap(self):
+        limits = ResourceLimits(max_node_count=100)
+        peaks = []
+        for count in (1_000, 100_000):
+            flood = "<r>" + "<x/>" * count + "</r>"
+            tracemalloc.start()
+            try:
+                with pytest.raises(LimitExceeded):
+                    parse_document(flood, limits=limits)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A hundred times the elements, the same work: the parse keeps
+        # nothing of the text past the element that trips the cap.
+        assert peaks[1] < peaks[0] + 64 * 1024
 
     def test_expired_deadline_stops_the_parse(self):
         big = "<r>" + "<x>t</x>" * 5_000 + "</r>"
