@@ -24,6 +24,11 @@ no recorder is attached, :meth:`TreeLabeler.run` does both steps in one
 preorder walk, handing out labels interned by :class:`LabelInterner`
 (the same helper the streaming labeler uses): most nodes share a few
 labels, so each distinct one is resolved once.
+
+Binding runs on one walk of that automaton, :meth:`TreeLabeler._bind_walk`:
+:meth:`TreeLabeler.bind` walks the whole tree with it, and
+:meth:`TreeLabeler.rebind_subtree` walks just an edited subtree after an
+update, so incremental relabeling bins exactly what a full bind would.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.limits import Deadline, ResourceLimits
 from repro.obs.trace import span
 from repro.subjects.hierarchy import SubjectHierarchy
 from repro.xml.nodes import Attribute, Document, Element, Node
+from repro.xml.traversal import preorder
 from repro.xpath.compile import RelativeMode
 
 __all__ = [
@@ -83,10 +89,6 @@ SCHEMA_SLOT = {
 #: so an R authorization naming an attribute directly behaves like the
 #: L it effectively is.
 ATTRIBUTE_SLOT_DEGRADE = {"R": "L", "RW": "LW", "RD": "LD"}
-
-# Backwards-compatible private aliases.
-_INSTANCE_SLOT = INSTANCE_SLOT
-_SCHEMA_SLOT = SCHEMA_SLOT
 
 #: Shared empty attribute view for predicate-free dispatch steps.
 _NO_ATTRS: dict[str, str] = {}
@@ -561,10 +563,9 @@ class TreeLabeler:
     def slot_bins(self) -> dict[Node, dict[str, list[Authorization]]]:
         """The mutable node → slot → candidate-authorizations binning.
 
-        Binds first if needed. The update subsystem edits this mapping
-        in place when it rebinds an edited subtree through the compiled
-        stream patterns (:mod:`repro.update.relabel`); everyone else
-        should treat it as read-only.
+        Binds first if needed. The update subsystem drops the bins of
+        removed subtrees through it (:mod:`repro.update.relabel`);
+        everyone else should treat it as read-only.
         """
         self.bind()
         return self._node_slot_auths
@@ -574,13 +575,56 @@ class TreeLabeler:
         authorizations first, then schema ones, exactly as
         :meth:`bind` bins them."""
         for authorization in self._instance_auths:
-            yield authorization, _INSTANCE_SLOT[authorization.type]
+            yield authorization, INSTANCE_SLOT[authorization.type]
         for authorization in self._schema_auths:
-            yield authorization, _SCHEMA_SLOT[authorization.type]
+            yield authorization, SCHEMA_SLOT[authorization.type]
 
-    @property
-    def relative_mode(self) -> RelativeMode:
-        return self._relative_mode
+    def rebind_subtree(
+        self, root: Node, automaton: tuple, memo: Optional[dict] = None
+    ) -> None:
+        """Recompute the bins of ``subtree(root)`` in place after an edit.
+
+        *automaton* is a :meth:`compile_dispatch` result of this labeler.
+        The subtree's stale bins are dropped, the dispatch state at
+        *root*'s parent is found by climbing *root*'s ancestors to the
+        nearest one in *memo* (element → the
+        :class:`~repro.stream.paths.DispatchNode` at that element) or to
+        the document, and :meth:`_bind_walk` bins the subtree from
+        there — exactly as :meth:`bind` would over the edited tree. The
+        climb and the walk record every element they step in *memo*. A
+        memoized state stays valid while its element's root path
+        (ancestor names and attributes) is unchanged, which holds
+        outside an edit's subtree.
+        """
+        bins = self.slot_bins()
+        for node in preorder(root):
+            bins.pop(node, None)
+        dispatch, entries = automaton
+        if not isinstance(root, Element) or not entries:
+            return
+        chain: list[Element] = []
+        state = None
+        ancestor = root.parent
+        while isinstance(ancestor, Element):
+            if memo is not None:
+                state = memo.get(ancestor)
+                if state is not None:
+                    break
+            chain.append(ancestor)
+            ancestor = ancestor.parent
+        if state is None:
+            state = dispatch.initial
+        for ancestor in reversed(chain):
+            values = {
+                name: attribute.value
+                for name, attribute in ancestor.attributes.items()
+            }
+            state = dispatch.advance(state, ancestor.name, values)
+            if memo is not None:
+                memo[ancestor] = state
+        # No deadline: a labeler kept across requests (a LabelState, a
+        # cached oracle) holds the deadline of the request that built it.
+        self._bind_walk(automaton, root, state, memo)
 
     def rebase(self, document: Document | Element, node_map: dict) -> None:
         """Re-anchor a *bound* labeler onto a cloned tree.
@@ -658,7 +702,7 @@ class TreeLabeler:
         if root is None:
             return LabelingResult(labels)
         if not self._bound and self._recorder is None:
-            automaton = self._compile_dispatch()
+            automaton = self.compile_dispatch()
             if automaton is not None:
                 with span("label.propagate"):
                     self._bind_and_label(*automaton, labels)
@@ -699,17 +743,19 @@ class TreeLabeler:
     # -- authorization binning ------------------------------------------------
 
     def _bin_authorizations(self) -> None:
-        if self._bin_via_nfa():
+        automaton = self.compile_dispatch()
+        if automaton is None:
+            for authorization, slot in self.authorization_slots():
+                self._bin_one(authorization, slot, self._document)
             return
-        root_context: Node = self._document
-        for authorization in self._instance_auths:
-            slot = _INSTANCE_SLOT[authorization.type]
-            self._bin_one(authorization, slot, root_context)
-        for authorization in self._schema_auths:
-            slot = _SCHEMA_SLOT[authorization.type]
-            self._bin_one(authorization, slot, root_context)
+        dispatch, entries = automaton
+        self._evaluated += len(entries)
+        if self._root is not None and entries:
+            self._bind_walk(
+                automaton, self._root, dispatch.initial, deadline=self._deadline
+            )
 
-    def _compile_dispatch(self) -> Optional[tuple]:
+    def compile_dispatch(self) -> Optional[tuple]:
         """``(dispatch, entries)`` when every path compiles exactly, else
         ``None``.
 
@@ -720,7 +766,8 @@ class TreeLabeler:
         *i*, instance list first, then schema, both in list order. Any
         path outside the exactly-streamable subset — or an Element
         context, which anchors absolute paths differently — keeps the
-        evaluator's one-XPath-per-authorization binding instead.
+        evaluator's one-XPath-per-authorization binding instead, and
+        leaves no automaton to rebind an edited subtree with.
         """
         if not isinstance(self._document, Document):
             return None
@@ -743,27 +790,26 @@ class TreeLabeler:
             return None
         return PatternDispatch(patterns), entries
 
-    def _bin_via_nfa(self) -> bool:
-        """Bind every authorization in ONE tree walk, when possible.
+    def _bind_walk(
+        self,
+        automaton: tuple,
+        root: Element,
+        parent_state,
+        memo: Optional[dict] = None,
+        deadline: Optional[Deadline] = None,
+    ) -> None:
+        """Bin ``subtree(root)`` in one preorder walk, entering *root*
+        from dispatch state *parent_state*.
 
-        A single preorder walk advances the joint dispatch state per
-        element (:meth:`_compile_dispatch`) and bins every accepting
-        authorization — the per-node slot lists come out in the same
-        order the per-authorization XPath evaluations would have
-        produced. Returns ``False``, binding nothing, when some path is
-        outside the exactly-streamable subset.
+        Each element advances its parent's joint dispatch state and bins
+        every accepting authorization — the per-node slot lists come out
+        in the same order the per-authorization XPath evaluations would
+        have produced. Each element's state goes into *memo* when one is
+        given; *deadline* is checked every ``_DEADLINE_STRIDE`` elements.
         """
-        automaton = self._compile_dispatch()
-        if automaton is None:
-            return False
         dispatch, entries = automaton
-        self._evaluated += len(entries)
-        root = self._root
-        if root is None or not entries:
-            return True
         bins = self._node_slot_auths
-        deadline = self._deadline
-        stack: list[tuple[Element, object]] = [(root, dispatch.initial)]
+        stack: list[tuple[Element, object]] = [(root, parent_state)]
         visited = 0
         while stack:
             element, parent_state = stack.pop()
@@ -776,6 +822,8 @@ class TreeLabeler:
             else:
                 values = _NO_ATTRS
             state = dispatch.advance(parent_state, element.name, values)
+            if memo is not None:
+                memo[element] = state
             if state.accepts:
                 bins[element] = _element_bins(entries, state)
             if attributes and state.attr_entries:
@@ -790,7 +838,6 @@ class TreeLabeler:
                 visited += 1
                 if visited % self._DEADLINE_STRIDE == 0:
                     deadline.check("authorization binding")
-        return True
 
     def _bind_and_label(
         self,
@@ -800,7 +847,7 @@ class TreeLabeler:
     ) -> None:
         """Bind and label the whole tree in one preorder walk.
 
-        The walk of :meth:`_bin_via_nfa`, which also labels each node
+        The walk of :meth:`_bind_walk`, which also labels each node
         from its dispatch state and its parent's label through a
         :class:`LabelInterner`: one resolution per distinct label, one
         dict lookup per node after that. Bins and labels equal what
@@ -870,8 +917,6 @@ class TreeLabeler:
                 if visited % self._DEADLINE_STRIDE == 0:
                     deadline.check("tree labeling")
 
-    _ATTRIBUTE_SLOT = ATTRIBUTE_SLOT_DEGRADE
-
     def _bin_one(self, authorization: Authorization, slot: str, context: Node) -> None:
         nodes = authorization.select_nodes(
             context,
@@ -885,7 +930,7 @@ class TreeLabeler:
         for node in nodes:
             node_slot = slot
             if isinstance(node, Attribute):
-                node_slot = self._ATTRIBUTE_SLOT.get(slot, slot)
+                node_slot = ATTRIBUTE_SLOT_DEGRADE.get(slot, slot)
             slots = self._node_slot_auths.get(node)
             if slots is None:
                 slots = {}
@@ -941,11 +986,6 @@ class TreeLabeler:
 
     def _resolve_slot(self, authorizations: list[Authorization]) -> str:
         return resolve_slot_sign(authorizations, self._hierarchy, self._policy)
-
-    def _most_specific(
-        self, authorizations: list[Authorization]
-    ) -> list[Authorization]:
-        return most_specific(authorizations, self._hierarchy)
 
     # -- label(n, p) ------------------------------------------------------------
 

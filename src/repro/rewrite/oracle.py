@@ -124,9 +124,6 @@ class VisibilityOracle:
         self._labeler.bind()
         self._labels: dict[Node, Label] = {}
         self._survives: dict[Element, bool] = {}
-        # Compiled stream patterns for incremental refresh after an
-        # update; built on first use. False = proven unsupported.
-        self._patterns = None
         self._id_attrs: Optional[dict[str, tuple[str, ...]]] = None
 
     # -- labels ------------------------------------------------------------
@@ -333,13 +330,17 @@ class VisibilityOracle:
         applied :class:`~repro.update.relabel.EditDelta` sequence.
 
         Returns ``None`` when the policy cannot be rebound
-        incrementally (the caller should rebuild from scratch), else
-        ``(refreshed_oracle, affected)``. This oracle is **not
-        mutated** beyond read-only memo probes — in-flight queries over
-        the pre-update tree keep their consistent state; the refreshed
-        twin carries every memo over by O(memo) key remapping, with the
-        edited subtrees (and each anchor's ancestor survival chain)
-        purged and rebound.
+        incrementally — some path is outside the exact subset of
+        :meth:`TreeLabeler.compile_dispatch` — so the caller drops what
+        it cached for this class; else ``(refreshed_oracle, affected)``.
+        The dispatch automaton is compiled for this call and dropped
+        with it: an oracle kept in a cache holds no automaton.
+
+        This oracle is **not mutated** beyond read-only memo probes —
+        in-flight queries over the pre-update tree keep their
+        consistent state; the refreshed twin carries every memo over by
+        O(memo) key remapping, with the edited subtrees (and each
+        anchor's ancestor survival chain) purged and rebound.
 
         ``affected`` is ``True`` when any edited region was visible
         before (``old_nodes`` against the pre-update tree) or is
@@ -354,13 +355,10 @@ class VisibilityOracle:
         """
         import copy as _copy
 
-        from repro.update.relabel import compile_auth_patterns, rebind_subtree
         from repro.xml.traversal import preorder
 
-        if self._patterns is None:
-            compiled = compile_auth_patterns(self._labeler)
-            self._patterns = compiled if compiled is not None else False
-        if self._patterns is False:
+        automaton = self._labeler.compile_dispatch()
+        if automaton is None:
             return None
 
         # Phase 1 — before-visibility, against the current (old) tree:
@@ -382,8 +380,8 @@ class VisibilityOracle:
         # bins inside dirty regions, survival along each anchor's
         # ancestor chain, everything under detached subtrees).
         # TreeLabeler.rebase installs a fresh bins dict and
-        # rebind_subtree pops a node's mapping before re-binning, so
-        # the twin never writes through to this oracle's state.
+        # rebind_subtree replaces a node's mapping instead of editing
+        # it, so the twin never writes through to this oracle's state.
         clone = _copy.copy(self)
         clone._labeler = _copy.copy(self._labeler)
         clone._labeler.rebase(document, node_map)
@@ -406,7 +404,7 @@ class VisibilityOracle:
                     if isinstance(node, Element):
                         clone._survives.pop(node, None)
             if delta.dirty is not None:
-                rebind_subtree(clone._labeler, clone._patterns, delta.dirty)
+                clone._labeler.rebind_subtree(delta.dirty, automaton)
                 for node in preorder(delta.dirty):
                     clone._labels.pop(node, None)
                     if isinstance(node, Element):

@@ -207,11 +207,6 @@ class StreamLabeler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _handle(self, event: StreamEvent) -> None:
-        handler = self._handlers.get(type(event))
-        if handler is not None:
-            handler(event)
-
     def _on_comment(self, event: CommentEvent) -> None:
         self._on_misc_value(event.data, None)
 

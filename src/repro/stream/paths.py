@@ -29,8 +29,18 @@ just not streamed.
 
 Node tests that can only select text or comment nodes compile to a
 null program on purpose: authorizations binned on such nodes have no
-effect in the DOM pipeline either (value visibility always follows the
-parent element's final sign), so dropping them preserves equivalence.
+effect on a view in the DOM pipeline either (value visibility always
+follows the parent element's final sign), so dropping them preserves
+the served bytes. It does not preserve labels — the DOM evaluator does
+bin such an authorization on the text node — so the DOM side compiles
+in *exact* mode (:func:`compile_stream_pattern`), which rejects every
+path the matcher represents lossily.
+
+Patterns are never stepped one by one. :class:`PatternDispatch` joins
+every pattern of a policy into one lazily built DFA, and both labelers
+walk it: :class:`repro.stream.labeler.StreamLabeler` event by event,
+:class:`repro.core.labeling.TreeLabeler` node by node — to bind a whole
+tree, or to rebind just the subtree an update edited.
 """
 
 from __future__ import annotations
@@ -107,11 +117,6 @@ class ElementStep:
     name: Optional[str]
     predicates: tuple[AttrPredicate, ...] = ()
 
-    def matches(self, name: str, attributes: dict[str, str]) -> bool:
-        if self.name is not None and self.name != name:
-            return False
-        return all(p.matches(attributes) for p in self.predicates)
-
 
 class _Glue:
     """Sentinel for a ``descendant-or-self::node()`` step."""
@@ -132,9 +137,6 @@ class _AttrTail:
     """A trailing ``@name`` / ``@*`` step selecting attributes."""
 
     name: Optional[str]
-
-    def matches(self, attr_name: str) -> bool:
-        return self.name is None or self.name == attr_name
 
 
 @dataclass
@@ -158,36 +160,6 @@ class PathProgram:
         if self.null:
             return self._EMPTY
         return self._closure({0})
-
-    def advance(
-        self, states: frozenset, name: str, attributes: dict[str, str]
-    ) -> frozenset:
-        """The state of a child element reached from *states*."""
-        if not states:
-            return self._EMPTY
-        out: set[int] = set()
-        steps = self.steps
-        for position in states:
-            if position >= len(steps):
-                continue
-            step = steps[position]
-            if step is DESCENDANT_GLUE:
-                out.add(position)  # stay inside the glue...
-                # (...position+1 was already added by the ε-closure)
-            elif step.matches(name, attributes):
-                out.add(position + 1)
-        return self._closure(out)
-
-    def accepts_element(self, states: frozenset) -> bool:
-        """Whether the element owning *states* is selected."""
-        return self.attr is None and len(self.steps) in states
-
-    def attr_active(self, states: frozenset) -> bool:
-        """Whether this element's attributes are candidates."""
-        return self.attr is not None and len(self.steps) in states
-
-    def matches_attribute(self, states: frozenset, attr_name: str) -> bool:
-        return self.attr_active(states) and self.attr.matches(attr_name)
 
     def _closure(self, positions: set) -> frozenset:
         """ε-closure: glue steps also match the empty descent."""
@@ -217,39 +189,6 @@ class StreamPattern:
 
     source: Optional[str]
     programs: list[PathProgram] = field(default_factory=list)
-
-    def initial(self) -> list[frozenset]:
-        return [program.initial() for program in self.programs]
-
-    def advance(
-        self, states: list[frozenset], name: str, attributes: dict[str, str]
-    ) -> list[frozenset]:
-        return [
-            program.advance(state, name, attributes)
-            for program, state in zip(self.programs, states)
-        ]
-
-    def accepts_element(self, states: list[frozenset]) -> bool:
-        return any(
-            program.accepts_element(state)
-            for program, state in zip(self.programs, states)
-        )
-
-    def any_attr_active(self, states: list[frozenset]) -> bool:
-        return any(
-            program.attr_active(state)
-            for program, state in zip(self.programs, states)
-        )
-
-    def matches_attribute(self, states: list[frozenset], attr_name: str) -> bool:
-        return any(
-            program.matches_attribute(state, attr_name)
-            for program, state in zip(self.programs, states)
-        )
-
-    def alive(self, states: list[frozenset]) -> bool:
-        """Whether any program can still match somewhere below."""
-        return any(state for state in states)
 
 
 #: Per-node transition-memo cap. Nodes (interned state tuples) are

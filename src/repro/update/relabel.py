@@ -15,24 +15,27 @@ Two ingredients make that cheap:
    the clone records an old→new node map so bound labeler state carries
    over by *dict remapping* instead of re-evaluating every
    authorization's XPath.
-2. the **stream patterns** of :mod:`repro.stream.paths` — the same
-   NFA-compiled form of authorization paths the streaming pipeline
-   uses. A pattern's match at a node is a function of the node's root
-   path (ancestor names/attributes) alone, which is exactly the
-   edit-locality property: to rebind an edited subtree we advance each
-   pattern's state down the ancestor chain once and walk just the
-   subtree.
+2. the labeler's own **dispatch automaton**
+   (:meth:`~repro.core.labeling.TreeLabeler.compile_dispatch`, exact
+   mode) — the one :meth:`~repro.core.labeling.TreeLabeler.bind` walks.
+   An element's dispatch state is a function of its root path
+   (ancestor names/attributes) alone, which is exactly the
+   edit-locality property:
+   :meth:`~repro.core.labeling.TreeLabeler.rebind_subtree` climbs to
+   the nearest memoized ancestor state and walks just the edited
+   subtree, binning exactly what a full bind of the edited tree would.
 
-When any applicable authorization path falls outside the streamable
-subset, :class:`LabelState.apply_delta` raises
-:class:`IncrementalUnsupported` and the caller falls back to a full
-rebind — correctness is never traded for speed, the fallback is merely
-slower (and metered).
+When any applicable authorization path falls outside the exact subset
+(see :func:`repro.stream.paths.compile_stream_pattern`),
+:meth:`LabelState.apply_delta` raises :class:`IncrementalUnsupported`
+and the caller falls back to a full rebind — correctness is never
+traded for speed, the fallback is merely slower (and metered).
 
 The differential property — incremental relabel ≡ full relabel, for
 every edit sequence under all four conflict policies — is enforced by
 ``tests/update/test_incremental.py`` and the hypothesis suite in
-``tests/properties/test_update_properties.py``.
+``tests/properties/test_update_properties.py``;
+``tests/core/test_nfa_binding.py`` holds the rebind itself to ``bind()``.
 """
 
 from __future__ import annotations
@@ -42,20 +45,13 @@ from typing import Optional
 
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import ConflictPolicy
-from repro.core.labeling import (
-    ATTRIBUTE_SLOT_DEGRADE,
-    TreeLabeler,
-)
+from repro.core.labeling import TreeLabeler
 from repro.core.labels import Label
 from repro.errors import ReproError
 from repro.limits import Deadline, ResourceLimits
-from repro.stream.paths import (
-    StreamPathUnsupported,
-    StreamPattern,
-    compile_stream_pattern,
-)
+from repro.stream.paths import DispatchNode
 from repro.subjects.hierarchy import SubjectHierarchy
-from repro.xml.nodes import Attribute, Document, Element, Node
+from repro.xml.nodes import Document, Element, Node
 from repro.xml.traversal import preorder
 from repro.xpath.compile import RelativeMode
 
@@ -64,15 +60,12 @@ __all__ = [
     "EditDelta",
     "LabelState",
     "clone_with_map",
-    "compile_auth_patterns",
-    "rebind_subtree",
-    "states_above",
 ]
 
 
 class IncrementalUnsupported(ReproError):
     """The applicable policy cannot be rebound incrementally (an
-    authorization path is outside the streamable subset)."""
+    authorization path is outside the exact subset)."""
 
 
 def clone_with_map(document: Document) -> tuple[Document, dict[Node, Node]]:
@@ -146,142 +139,25 @@ class EditDelta:
     old_nodes: tuple[Node, ...] = ()
 
 
-def compile_auth_patterns(
-    labeler: TreeLabeler,
-) -> Optional[list[tuple[Authorization, str, StreamPattern]]]:
-    """Compile every bound authorization's path for subtree rebinding.
-
-    Returns the patterns in the labeler's binding order (instance
-    authorizations before schema ones), or ``None`` when any path is
-    outside the streamable subset — the caller must then fall back to
-    full rebinding.
-    """
-    patterns: list[tuple[Authorization, str, StreamPattern]] = []
-    try:
-        for authorization, slot in labeler.authorization_slots():
-            pattern = compile_stream_pattern(
-                authorization.object.path, labeler.relative_mode
-            )
-            patterns.append((authorization, slot, pattern))
-    except StreamPathUnsupported:
-        return None
-    return patterns
-
-
-def states_above(
-    patterns: list[tuple[Authorization, str, StreamPattern]],
-    element: Element,
-    memo: Optional[dict[Element, list[list]]] = None,
-) -> list[list]:
-    """Each pattern's NFA state at *element*'s parent — i.e. the state
-    from which entering *element* is the next transition.
-
-    Without *memo* this costs one pass over the ancestor chain. With
-    *memo* (element → per-pattern states *at* that element) the walk
-    stops at the nearest memoized ancestor and newly computed states
-    are recorded, so repeated edits near each other cost O(1) ancestor
-    work. A state memoized at a node stays valid as long as the node's
-    root path (ancestor names and attributes) is unchanged — which is
-    exactly what holds outside an edit's dirty subtree.
-    """
-    chain: list[Element] = []
-    states: Optional[list[list]] = None
-    node = element.parent
-    while isinstance(node, Element):
-        if memo is not None and node in memo:
-            states = memo[node]
-            break
-        chain.append(node)
-        node = node.parent
-    if states is None:
-        states = [pattern.initial() for (_, _, pattern) in patterns]
-    for ancestor in reversed(chain):
-        attributes = {
-            name: attr.value for name, attr in ancestor.attributes.items()
-        }
-        states = [
-            pattern.advance(state, ancestor.name, attributes)
-            for (_, _, pattern), state in zip(patterns, states)
-        ]
-        if memo is not None:
-            memo[ancestor] = states
-    return states
-
-
-def rebind_subtree(
-    labeler: TreeLabeler,
-    patterns: list[tuple[Authorization, str, StreamPattern]],
-    root: Node,
-    memo: Optional[dict[Element, list[list]]] = None,
-) -> int:
-    """Recompute the authorization bins for ``subtree(root)`` in place.
-
-    Every node of the subtree first drops its stale bins, then each
-    pattern's automaton walks down from the precomputed ancestor state,
-    binning exactly the authorizations whose paths select each element
-    or attribute — the same node-sets the DOM evaluation would produce
-    over the edited tree, by the stream/DOM equivalence the streaming
-    pipeline is built on. Returns the number of (node, authorization)
-    bindings made. *memo* (see :func:`states_above`) caches per-element
-    pattern states; entries for the subtree are refreshed as it is
-    walked.
-    """
-    bins = labeler.slot_bins()
-    for node in preorder(root):
-        bins.pop(node, None)
-    if not isinstance(root, Element) or not patterns:
-        return 0
-    bound = 0
-    stack: list[tuple[Element, list[list]]] = [
-        (root, states_above(patterns, root, memo))
-    ]
-    while stack:
-        element, above = stack.pop()
-        attributes = {
-            name: attr.value for name, attr in element.attributes.items()
-        }
-        here: list[list] = []
-        for (authorization, slot, pattern), state in zip(patterns, above):
-            advanced = pattern.advance(state, element.name, attributes)
-            here.append(advanced)
-            if pattern.accepts_element(advanced):
-                bins.setdefault(element, {}).setdefault(slot, []).append(
-                    authorization
-                )
-                bound += 1
-            if pattern.any_attr_active(advanced):
-                for name, attr in element.attributes.items():
-                    if pattern.matches_attribute(advanced, name):
-                        attr_slot = ATTRIBUTE_SLOT_DEGRADE.get(slot, slot)
-                        bins.setdefault(attr, {}).setdefault(
-                            attr_slot, []
-                        ).append(authorization)
-                        bound += 1
-        if memo is not None:
-            memo[element] = here
-        for child in element.children:
-            if isinstance(child, Element):
-                stack.append((child, here))
-    return bound
-
-
 @dataclass
 class LabelState:
-    """A reusable (labeler, memoized labels, compiled patterns) triple.
+    """A reusable (labeler, memoized labels, dispatch automaton) triple.
 
     One state follows one document across edits: :meth:`rebase` carries
     it onto the post-edit clone by key remapping, :meth:`apply_delta`
-    repairs exactly the edited subtree. ``patterns`` is ``None`` when
-    the policy is outside the streamable subset — then every delta
+    repairs exactly the edited subtree. ``automaton`` is the labeler's
+    :meth:`~repro.core.labeling.TreeLabeler.compile_dispatch`, ``None``
+    when the policy is outside the exact subset — then every delta
     raises :class:`IncrementalUnsupported` and callers rebuild.
     """
 
     labeler: TreeLabeler
     labels: dict[Node, Label] = field(default_factory=dict)
-    patterns: Optional[list[tuple[Authorization, str, StreamPattern]]] = None
-    # element → per-pattern NFA states at that element; valid while the
-    # element's root path is unchanged (purged with the dirty subtree).
-    pattern_states: dict[Element, list[list]] = field(default_factory=dict)
+    automaton: Optional[tuple] = None
+    # element → the automaton's dispatch node at that element; valid
+    # while the element's root path is unchanged (purged with removed
+    # subtrees, rewritten by each rebind).
+    dispatch_states: dict[Element, DispatchNode] = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -306,11 +182,11 @@ class LabelState:
             deadline=deadline,
         )
         labeler.bind()
-        return cls(labeler, {}, compile_auth_patterns(labeler))
+        return cls(labeler, {}, labeler.compile_dispatch())
 
     @property
     def stream_safe(self) -> bool:
-        return self.patterns is not None
+        return self.automaton is not None
 
     def label(self, node: Node) -> Label:
         return self.labeler.label_lazily(node, self.labels)
@@ -323,9 +199,9 @@ class LabelState:
             for node, label in self.labels.items()
             if node in node_map
         }
-        self.pattern_states = {
-            node_map[node]: states
-            for node, states in self.pattern_states.items()
+        self.dispatch_states = {
+            node_map[node]: state
+            for node, state in self.dispatch_states.items()
             if node in node_map
         }
 
@@ -336,22 +212,20 @@ class LabelState:
         :class:`IncrementalUnsupported` when the policy cannot be
         rebound incrementally (the caller rebuilds from scratch).
         """
-        if self.patterns is None:
+        if self.automaton is None:
             raise IncrementalUnsupported(
-                "an authorization path is outside the streamable subset"
+                "an authorization path is outside the exact subset"
             )
         bins = self.labeler.slot_bins()
         for removed in delta.removed:
             for node in preorder(removed):
                 bins.pop(node, None)
                 self.labels.pop(node, None)
-                self.pattern_states.pop(node, None)
+                self.dispatch_states.pop(node, None)
         relabeled = 0
         if delta.dirty is not None:
-            for node in preorder(delta.dirty):
-                self.pattern_states.pop(node, None)
-            rebind_subtree(
-                self.labeler, self.patterns, delta.dirty, self.pattern_states
+            self.labeler.rebind_subtree(
+                delta.dirty, self.automaton, self.dispatch_states
             )
             for node in preorder(delta.dirty):
                 self.labels.pop(node, None)

@@ -10,9 +10,11 @@ binders must produce the same per-node slot bins **in the same order**
 final labels.
 
 On an unbound labeler, ``run()`` goes further and binds *and* labels in
-that one walk, with interned labels; the property at the end holds it
-to the per-node walk node for node — six slots, final sign and bins —
-under every conflict policy, open and closed.
+that one walk, with interned labels; a property holds it to the
+per-node walk node for node — six slots, final sign and bins — under
+every conflict policy, open and closed. The update path rebinds an
+edited subtree with the same walk (``rebind_subtree``); the last
+property holds it to ``bind()``.
 """
 
 import pytest
@@ -22,12 +24,15 @@ from repro.authz.authorization import Authorization
 from repro.authz.conflict import policy_by_name
 from repro.core.labeling import TreeLabeler
 from repro.core.prune import build_view
+from repro.limits import Deadline
 from repro.obs.trace import tracing
 from repro.stream.paths import StreamPathUnsupported, compile_stream_pattern
 from repro.subjects.hierarchy import SubjectHierarchy
 from repro.workloads.generator import synthetic_authorizations, synthetic_document
-from repro.xml.parser import parse_document
+from repro.xml.nodes import Element
+from repro.xml.parser import parse_document, parse_fragment
 from repro.xml.serializer import serialize
+from repro.xml.traversal import preorder
 from tests.core import strategies
 
 
@@ -42,10 +47,10 @@ def bind_both_ways(document, instance, schema):
     hierarchy = SubjectHierarchy()
     nfa = TreeLabeler(document, instance, schema, hierarchy)
     legacy = TreeLabeler(document, instance, schema, hierarchy)
-    legacy._bin_via_nfa = lambda: False  # force the per-auth xpath path
+    legacy.compile_dispatch = lambda: None  # force the per-auth xpath path
     nfa.bind()
     legacy.bind()
-    used_nfa = nfa._compile_dispatch() is not None
+    used_nfa = nfa.compile_dispatch() is not None
     return nfa, legacy, used_nfa
 
 
@@ -188,3 +193,54 @@ class TestFusedRun:
             for result in (fused, per_node)
         ]
         assert views[0] == views[1]
+
+
+class TestRebindSubtree:
+    """``rebind_subtree`` restores exactly the bins ``bind()`` made."""
+
+    @given(
+        document=strategies.documents(),
+        pairs=st.lists(strategies.authorizations(), max_size=8),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rebind_restores_bind(self, document, pairs, data):
+        instance, schema = strategies.split(pairs)
+        labeler = TreeLabeler(
+            document, instance, schema, strategies.hierarchy()
+        ).bind()
+        expected = {
+            node: {slot: list(auths) for slot, auths in slots.items()}
+            for node, slots in labeler.slot_bins().items()
+        }
+        automaton = labeler.compile_dispatch()
+        elements = [
+            node for node in preorder(document.root) if isinstance(node, Element)
+        ]
+        memo: dict = {}
+        # First with an empty memo, then with the one the first rebind
+        # left behind; the subtree's bins go stale each time.
+        for _ in range(2):
+            root = data.draw(st.sampled_from(elements))
+            bins = labeler.slot_bins()
+            for node in preorder(root):
+                bins[node] = {"L": []}
+            labeler.rebind_subtree(root, automaton, memo)
+            # List equality: the slot lists come back in bind()'s order.
+            assert labeler.slot_bins() == expected
+
+    def test_rebind_ignores_the_labelers_expired_deadline(self):
+        # A labeler kept across requests holds the deadline of the one
+        # that built it; a later rebind must not trip on it.
+        document = parse_document("<lab><project/></lab>", uri="d.xml")
+        labeler = TreeLabeler(
+            document,
+            [auth("//paper", "+", "R")],
+            [],
+            SubjectHierarchy(),
+            deadline=Deadline.after(0.0),
+        ).bind()
+        big = parse_fragment("<list>" + "<paper/>" * 3000 + "</list>")
+        document.root.append(big)
+        labeler.rebind_subtree(big, labeler.compile_dispatch())
+        assert len(labeler.slot_bins()) == 3000

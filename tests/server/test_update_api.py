@@ -30,6 +30,7 @@ from repro.server.request import AccessRequest
 from repro.server.service import SecureXMLServer
 from repro.subjects.hierarchy import Requester
 from repro.update import SetAttribute, SetText, UpdateDenied, UpdateRequest
+from repro.xml.serializer import serialize
 
 URI = "http://x/notes.xml"
 NOTES = (
@@ -197,6 +198,37 @@ class TestSubtreeGranularInvalidation:
         assert outcome.cache_kept == 0
         assert outcome.cache_dropped == 2
         assert "rewritten" in server.serve(AccessRequest(carol(), URI)).xml_text
+
+    def test_class_outside_the_exact_subset_is_dropped_not_proven(self):
+        dave = Requester("dave", "10.0.0.4", "pc4.lab.com")
+        # dave sees what carol sees, but one read path ends in text():
+        # no exact automaton can rebind it, so no disjointness proof.
+        grants = [
+            Authorization.build(
+                ("dave", "*", "*"), f"{URI}://note[@owner='bob']", "+", "R"
+            ),
+            Authorization.build(
+                ("dave", "*", "*"), f"{URI}://note/text()", "-", "L"
+            ),
+        ]
+        server = make_server(view_cache=ViewCache())
+        server.add_user("dave")
+        for grant in grants:
+            server.grant(grant)
+        for requester in (alice(), carol(), dave):
+            server.serve(AccessRequest(requester, URI))
+        outcome = server.update(edit_alices_note())
+        assert outcome.cache_kept == 1  # carol's class only
+        assert outcome.cache_dropped == 2
+        scratch = SecureXMLServer()
+        scratch.add_user("dave")
+        scratch.publish_document(URI, serialize(server.repository.document(URI)))
+        for grant in grants:
+            scratch.grant(grant)
+        assert (
+            server.serve(AccessRequest(dave, URI)).xml_text
+            == scratch.serve(AccessRequest(dave, URI)).xml_text
+        )
 
 
 class TestStructuredGuardFailures:

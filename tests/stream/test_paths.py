@@ -1,14 +1,19 @@
 """Stream path matchers against the reference XPath evaluator.
 
 For every path shape the authorization generator produces (plus unions,
-wildcards and the bare-URI root denotation), walking a document while
-advancing the compiled :class:`StreamPattern` must select exactly the
-elements/attributes the DOM evaluator selects.
+wildcards and the bare-URI root denotation), walking a document through
+a one-pattern :class:`PatternDispatch` must select exactly the
+elements/attributes the DOM evaluator selects. The streaming labeler
+compiles in non-exact mode and relies on this agreement.
 """
 
 import pytest
 
-from repro.stream.paths import StreamPathUnsupported, compile_stream_pattern
+from repro.stream.paths import (
+    PatternDispatch,
+    StreamPathUnsupported,
+    compile_stream_pattern,
+)
 from repro.workloads.generator import synthetic_document
 from repro.xml.nodes import Attribute, Element
 from repro.xml.traversal import node_path
@@ -47,22 +52,25 @@ UNSUPPORTED = [
 
 
 def stream_select(pattern, document):
-    """Walk the tree advancing *pattern*; collect selected nodes."""
+    """Walk the tree through a dispatch of *pattern* alone; collect the
+    elements it accepts and the attributes its tails select."""
+    dispatch = PatternDispatch([pattern])
     elements, attributes = [], []
 
-    def visit(element: Element, states) -> None:
+    def visit(element: Element, parent_state) -> None:
         attrs = {name: a.value for name, a in element.attributes.items()}
-        states = pattern.advance(states, element.name, attrs)
-        if pattern.accepts_element(states):
+        state = dispatch.advance(parent_state, element.name, attrs)
+        if state.accepts:
             elements.append(element)
-        for name, attr in element.attributes.items():
-            if pattern.matches_attribute(states, name):
-                attributes.append(attr)
+        for _, tails in state.attr_entries:
+            for name, attr in element.attributes.items():
+                if None in tails or name in tails:
+                    attributes.append(attr)
         for child in element.children:
             if isinstance(child, Element):
-                visit(child, states)
+                visit(child, state)
 
-    visit(document.root, pattern.initial())
+    visit(document.root, dispatch.initial)
     return elements, attributes
 
 

@@ -7,8 +7,11 @@ scratch. This suite generates random documents, random write-grant
 sets and random edit batches, applies them through the engine's
 incremental path, and compares every node's label against a fresh
 full :class:`~repro.update.LabelState` on the result — under all four
-conflict policies. A facade-level test additionally holds the *served
-view bytes* identical to a from-scratch server, open and closed.
+conflict policies. The path pool includes write paths outside the exact
+subset (a final ``text()`` step, a positional predicate): those batches
+must report ``incremental`` false and still come out label-identical.
+A facade-level test additionally holds the *served view bytes*
+identical to a from-scratch server, open and closed.
 """
 
 import random
@@ -63,6 +66,9 @@ def build_auths(seed: int) -> list[Authorization]:
         f"{URI}://text",
         f"{URI}://tag",
         f"{URI}:/board",
+        # Outside the exact subset: the engine must take a full rebind.
+        f"{URI}://text/text()",
+        f"{URI}://card[1]",
     ]
     auths = [
         # A broad grant keeps the application rate high enough that the
@@ -137,10 +143,40 @@ def test_incremental_labels_equal_full_relabel(
         return
     assert serialize(document) == before  # the engine edits a clone
     fresh = LabelState.build(result.document, auths, [], hierarchy, policy=policy)
+    assert result.outcome.incremental == fresh.stream_safe
     for node in preorder(result.document.root):
         assert result.state.label(node) == fresh.label(node), (
             f"label diverged at {node!r} under {policy_name}"
         )
+
+
+def test_lossy_write_path_relabels_like_a_fresh_build():
+    """A final ``text()`` step bins on text nodes, which the dispatch
+    automaton cannot represent: the batch takes the full rebind, and
+    every label — the text nodes' included — equals a fresh build."""
+    document = parse_document(build_document(0), uri=URI)
+    auths = [
+        Authorization.build(
+            ("alice", "*", "*"), f"{URI}://card", "+", "R", action="write"
+        ),
+        Authorization.build(
+            ("alice", "*", "*"), f"{URI}://text/text()", "-", "L", action="write"
+        ),
+    ]
+    hierarchy = SubjectHierarchy()
+    engine = UpdateEngine(hierarchy, validate_result=False)
+    request = UpdateRequest.of(
+        Requester("alice", "1.2.3.4", "pc.x"),
+        URI,
+        SetText("//card/text", "edited"),
+        InsertChild("//card", "<text>new</text>"),
+    )
+    result = engine.apply_full(document, request, auths, [])
+    assert result.outcome.applied
+    assert not result.outcome.incremental
+    fresh = LabelState.build(result.document, auths, [], hierarchy)
+    for node in preorder(result.document.root):
+        assert result.state.label(node) == fresh.label(node), node
 
 
 @settings(max_examples=15, deadline=None)
