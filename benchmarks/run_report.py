@@ -525,20 +525,24 @@ BENCH_PR4_JSON = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
 
 
 def o2_provenance() -> None:
-    """Cost of decision provenance on the auction workload.
+    """Cost of asking *why* on the auction workload.
 
-    Two measurements, mirroring the O1 methodology:
+    Three medians over the same request:
 
-    - **enabled**: the full labeling pass with a ``ProvenanceRecorder``
-      attached vs the plain pass — the price of asking *why*;
-    - **disabled**: the recorder hooks compile down to one
-      ``is not None`` test per dispatch site, so the disabled path is
-      bounded by microbenchmarking that guard and multiplying by the
-      per-run guard count — an upper bound, required < 1 %.
+    - **label**: the plain labeling pass, :meth:`TreeLabeler.run`;
+    - **explain_document**: :func:`explain_from_auths` — that pass plus
+      every node's provenance, derived from its root path;
+    - **explain_node**: :func:`explain` for the document's deepest
+      element — a bind plus that node's root path and subtree.
+
+    Provenance is derived after labeling, not recorded during it, so
+    the labeling pass has no provenance hooks whose overhead needs a
+    bound.
     """
-    from repro.core.labeling import ProvenanceRecorder, TreeLabeler
+    from repro.core.explain import explain, explain_from_auths
+    from repro.core.labeling import TreeLabeler
     from repro.workloads.auction import AUCTION_SITE_URI, auction_scenario
-    from repro.xml.traversal import count_nodes
+    from repro.xml.traversal import count_nodes, depth, iter_elements, node_path
 
     scenario = auction_scenario(seed=3, people=6 if FAST else 24)
     server = scenario.server
@@ -549,44 +553,21 @@ def o2_provenance() -> None:
     schema = server.store.applicable(requester, dtd_uri, "read", at=now)
     document = server.repository.stored(AUCTION_SITE_URI).document()
     nodes = count_nodes(document.root)
+    deepest = max(iter_elements(document.root), key=depth)
 
-    def run(recorder_factory):
-        TreeLabeler(
-            document,
-            instance,
-            schema,
-            server.hierarchy,
-            recorder=recorder_factory() if recorder_factory else None,
-        ).run()
+    def label():
+        TreeLabeler(document, instance, schema, server.hierarchy).run()
 
-    run(None)  # warm path caches
-    disabled_ms = timed(run, None)
-    enabled_ms = timed(run, ProvenanceRecorder)
+    def explain_document():
+        explain_from_auths(document, instance, schema, server.hierarchy)
 
-    # The disabled path differs from a hook-free labeler only by the
-    # `self._recorder is not None` guards: two dispatch sites per node
-    # (initial label, propagation) plus one at the root final. Time the
-    # guard against an empty-loop baseline so the measured nanoseconds
-    # are the *marginal* cost of the attribute load + identity test,
-    # not the loop scaffolding around it.
-    class _Holder:
-        __slots__ = ("recorder",)
+    def explain_node():
+        explain(document, deepest, requester, server.store, dtd_uri=dtd_uri)
 
-    holder = _Holder()
-    holder.recorder = None
-    loops = 1_000_000
-    start = time.perf_counter()
-    for _ in range(loops):
-        pass
-    baseline = time.perf_counter() - start
-    start = time.perf_counter()
-    for _ in range(loops):
-        if holder.recorder is not None:
-            pass  # pragma: no cover - never taken
-    guarded = time.perf_counter() - start
-    guard_ns = max(0.0, (guarded - baseline) / loops * 1e9)
-    guards_per_run = 2 * nodes + 1
-    disabled_overhead_pct = (guard_ns * guards_per_run) / (disabled_ms * 1e6) * 100
+    label()  # warm path caches
+    label_ms = timed(label)
+    document_ms = timed(explain_document)
+    node_ms = timed(explain_node)
 
     payload = {
         "source": "benchmarks/run_report.py (section O2)",
@@ -597,23 +578,14 @@ def o2_provenance() -> None:
             "instance_auths": len(instance),
             "schema_auths": len(schema),
             "requester": "fraud-officer",
+            "explained_node": node_path(deepest),
         },
-        "label_disabled_ms": round(disabled_ms, 3),
-        "label_with_provenance_ms": round(enabled_ms, 3),
-        "enabled_overhead_pct": round(
-            (enabled_ms - disabled_ms) / disabled_ms * 100, 1
-        ),
-        "disabled_guard_ns": round(guard_ns, 2),
-        "guards_per_run": guards_per_run,
-        "disabled_overhead_pct": round(disabled_overhead_pct, 4),
-        "disabled_overhead_budget_pct": 1.0,
+        "label_ms": round(label_ms, 3),
+        "explain_document_ms": round(document_ms, 3),
+        "explain_node_ms": round(node_ms, 3),
     }
-    assert disabled_overhead_pct < 1.0, (
-        f"disabled-provenance overhead bound {disabled_overhead_pct:.4f}% "
-        "exceeds the 1% budget"
-    )
     table(
-        "O2 — provenance recording cost (auction workload)",
+        "O2 — provenance cost (auction workload)",
         ["measure", "value"],
         [
             [key, str(value)]

@@ -13,6 +13,8 @@ from repro.core.baseline import NaiveLabeler, compute_view_naive
 from repro.core.explain import (
     Explanation,
     NodeExplanation,
+    Provenance,
+    SlotDecision,
     SlotOrigin,
     explain,
     explain_from_auths,
@@ -21,8 +23,6 @@ from repro.core.explain import (
 from repro.core.labeling import (
     SLOTS,
     LabelingResult,
-    ProvenanceRecorder,
-    SlotDecision,
     TreeLabeler,
 )
 from repro.core.labels import EPSILON, MINUS, PLUS, Label, first_def
@@ -40,7 +40,7 @@ __all__ = [
     "NodeExplanation",
     "PLUS",
     "ProcessorOutput",
-    "ProvenanceRecorder",
+    "Provenance",
     "SLOTS",
     "SecurityProcessor",
     "SlotDecision",

@@ -19,21 +19,26 @@ attribute and text node:
 
 Text nodes (the paper's "values") inherit their parent's final sign.
 
-When every path compiles exactly to the shared dispatch automaton and
-no recorder is attached, :meth:`TreeLabeler.run` does both steps in one
-preorder walk, handing out labels interned by :class:`LabelInterner`
-(the same helper the streaming labeler uses): most nodes share a few
-labels, so each distinct one is resolved once.
+When every path compiles exactly to the shared dispatch automaton,
+:meth:`TreeLabeler.run` does both steps in one preorder walk, handing
+out labels interned by :class:`LabelInterner` (the same helper the
+streaming labeler uses): most nodes share a few labels, so each
+distinct one is resolved once.
 
 Binding runs on one walk of that automaton, :meth:`TreeLabeler._bind_walk`:
 :meth:`TreeLabeler.bind` walks the whole tree with it, and
 :meth:`TreeLabeler.rebind_subtree` walks just an edited subtree after an
 update, so incremental relabeling bins exactly what a full bind would.
+
+The labeler keeps no record of *why* a node got its label. A label is a
+function of the bins on the node's root path, so
+:class:`~repro.core.explain.Provenance` derives the reasons afterwards
+from :meth:`TreeLabeler.slot_bins` and the labels, with the functions
+below.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -51,8 +56,6 @@ __all__ = [
     "TreeLabeler",
     "LabelingResult",
     "LabelInterner",
-    "ProvenanceRecorder",
-    "SlotDecision",
     "SLOTS",
     "INSTANCE_SLOT",
     "SCHEMA_SLOT",
@@ -308,102 +311,6 @@ class LabelInterner:
 
 
 @dataclass
-class SlotDecision:
-    """Provenance of one directly-decided label slot on one node.
-
-    ``candidates`` are every authorization binned into the slot,
-    ``winners`` the subset surviving the most-specific-subject filter,
-    ``overridden`` the eliminated ones. ``sign`` is the conflict
-    policy's verdict over the winners' signs (possibly ε when the
-    policy dissolves the conflict).
-    """
-
-    slot: str
-    sign: str
-    candidates: list[Authorization]
-    winners: list[Authorization]
-    overridden: list[Authorization]
-
-
-class ProvenanceRecorder:
-    """Collects per-node decision provenance during one labeling run.
-
-    Pass an instance as ``TreeLabeler(recorder=...)`` and the labeler
-    records, for every node it labels:
-
-    - ``decisions[node][slot]`` — the :class:`SlotDecision` for every
-      slot that had candidate authorizations (the paper's step 1b/1c,
-      captured rather than discarded);
-    - ``origins[node][slot]`` — ``(origin_node, origin_slot)`` for
-      every non-ε slot: the node/slot where the sign was decided
-      directly. Propagated slots point at the ancestor's origin, so
-      lookups are O(1) with no ancestor walks;
-    - ``final_origin[node]`` — the origin of the node's *final* sign
-      (``None`` when the final is ε);
-    - ``blocked[node]`` — the parent's recursive slots whose
-      propagation was blocked by this node's own recursive
-      authorization (the "most specific overrides" rule, including a
-      weak label blocking a strong parent);
-    - ``attr_inputs[node]`` — for attributes, the
-      ``(own_weak_sign, parent_instance_sign)`` pair feeding the
-      special attribute final-sign formula (DESIGN.md decision 2).
-
-    The recorder is write-only during the run; the explain engine
-    (:mod:`repro.core.explain`) turns it into per-node explanations.
-    When no recorder is attached the labeler pays a single
-    ``is None`` test per node — the disabled path is benchmarked to
-    stay under 1 % overhead (``BENCH_PR4.json``).
-    """
-
-    __slots__ = (
-        "decisions",
-        "origins",
-        "final_origin",
-        "blocked",
-        "attr_inputs",
-        "nodes_recorded",
-    )
-
-    def __init__(self) -> None:
-        self.decisions: dict[Node, dict[str, SlotDecision]] = {}
-        self.origins: dict[Node, dict[str, tuple[Node, str]]] = {}
-        self.final_origin: dict[Node, Optional[tuple[Node, str]]] = {}
-        self.blocked: dict[Node, tuple[str, ...]] = {}
-        self.attr_inputs: dict[Node, tuple[str, str]] = {}
-        self.nodes_recorded = 0
-
-    # -- lookups (used during propagation and by the explain engine) -------
-
-    def origin_of(self, node: Node, slot: str) -> tuple[Node, str]:
-        """Where *node*'s *slot* value was decided directly."""
-        by_slot = self.origins.get(node)
-        if by_slot is not None:
-            found = by_slot.get(slot)
-            if found is not None:
-                return found
-        return (node, slot)
-
-    def decision_at(
-        self, origin: Optional[tuple[Node, str]]
-    ) -> Optional[SlotDecision]:
-        """The :class:`SlotDecision` behind an origin pair, if any."""
-        if origin is None:
-            return None
-        node, slot = origin
-        by_slot = self.decisions.get(node)
-        return by_slot.get(slot) if by_slot is not None else None
-
-    def record_element_final(self, node: Node, label: Label) -> None:
-        """Record the origin of an element's final sign (first non-ε
-        slot in priority order)."""
-        for slot in SLOTS:
-            if getattr(label, slot) != EPSILON:
-                self.final_origin[node] = self.origin_of(node, slot)
-                return
-        self.final_origin[node] = None
-
-
-@dataclass
 class LabelingResult:
     """Labels per node, plus bookkeeping used by tests and benchmarks.
 
@@ -456,11 +363,8 @@ class TreeLabeler:
         Optional shared wall-clock :class:`~repro.limits.Deadline`,
         checked after every authorization evaluation and periodically
         during the labeling walk.
-    recorder:
-        Optional :class:`ProvenanceRecorder`. When given, the run
-        records per-node decision provenance (candidates, winners,
-        conflict verdicts, propagation origins); when ``None`` (the
-        default) the only cost is one ``is None`` test per node.
+
+    ``hierarchy`` and ``policy`` stay readable as attributes.
     """
 
     #: Labeled nodes between two deadline checks in the main walk.
@@ -476,7 +380,6 @@ class TreeLabeler:
         relative_mode: RelativeMode = "descendant",
         limits: Optional[ResourceLimits] = None,
         deadline: Optional[Deadline] = None,
-        recorder: Optional[ProvenanceRecorder] = None,
     ) -> None:
         self._document = document
         self._root = (
@@ -484,14 +387,13 @@ class TreeLabeler:
         )
         self._instance_auths = instance_auths
         self._schema_auths = schema_auths
-        self._hierarchy = hierarchy
-        self._policy = policy if policy is not None else DenialsTakePrecedence()
+        self.hierarchy = hierarchy
+        self.policy = policy if policy is not None else DenialsTakePrecedence()
         self._relative_mode = relative_mode
         self._max_steps = limits.max_xpath_steps if limits is not None else None
         self._deadline = (
             deadline if deadline is not None and not deadline.unbounded else None
         )
-        self._recorder = recorder
         # node -> slot -> authorizations covering that node
         self._node_slot_auths: dict[Node, dict[str, list[Authorization]]] = {}
         self._evaluated = 0
@@ -502,9 +404,9 @@ class TreeLabeler:
     def run(self) -> LabelingResult:
         """Label the whole tree; returns labels for every node.
 
-        On an unbound labeler with no recorder whose paths all compile
-        exactly, binding and labeling share one preorder walk (reported
-        as ``label.propagate``) and the labels are interned; otherwise
+        On an unbound labeler whose paths all compile exactly, binding
+        and labeling share one preorder walk (reported as
+        ``label.propagate``) and the labels are interned; otherwise
         :meth:`bind` runs first and a per-node walk labels the tree.
         Either way the bins, the six slots and the final sign of every
         node come out the same.
@@ -664,8 +566,6 @@ class TreeLabeler:
             label = self._initial_label(root)
             label.compute_final()
             labels[root] = label
-            if self._recorder is not None and isinstance(root, Element):
-                self._recorder.record_element_final(root, label)
         else:
             parent_label = labels.get(parent)
             if parent_label is None:
@@ -683,25 +583,12 @@ class TreeLabeler:
                     self._push_children(node, stack)
         return count
 
-    @contextmanager
-    def recording(self, recorder: ProvenanceRecorder):
-        """Temporarily attach *recorder* for provenance-aware lazy
-        labeling (used by the update path to capture exactly which
-        authorization admitted a write). Not thread-safe: callers must
-        hold whatever lock serializes access to this labeler."""
-        previous = self._recorder
-        self._recorder = recorder
-        try:
-            yield self
-        finally:
-            self._recorder = previous
-
     def _run(self) -> LabelingResult:
         labels: dict[Node, Label] = {}
         root = self._root
         if root is None:
             return LabelingResult(labels)
-        if not self._bound and self._recorder is None:
+        if not self._bound:
             automaton = self.compile_dispatch()
             if automaton is not None:
                 with span("label.propagate"):
@@ -716,9 +603,6 @@ class TreeLabeler:
             root_label = self._initial_label(root)
             root_label.compute_final()
             labels[root] = root_label
-            if self._recorder is not None:
-                self._recorder.record_element_final(root, root_label)
-                self._recorder.nodes_recorded += 1
 
             # Step 6: label(c, r) for each child (attributes included:
             # the paper's tree model hangs attributes off their
@@ -854,7 +738,7 @@ class TreeLabeler:
         :meth:`bind` followed by the per-node walk produces.
         """
         self._evaluated += len(entries)
-        interner = LabelInterner(entries, self._hierarchy, self._policy)
+        interner = LabelInterner(entries, self.hierarchy, self.policy)
         element_labels = interner.elements
         attribute_labels = interner.attributes
         inherited_labels = interner.inherited
@@ -942,56 +826,21 @@ class TreeLabeler:
     def _initial_label(self, node: Node) -> Label:
         """Paper's initial_label(n): per-slot most-specific filtering and
         conflict resolution."""
-        if self._recorder is not None:
-            return self._initial_label_recorded(node)
         label = Label()
         slots = self._node_slot_auths.get(node)
         if not slots:
             return label
         for slot, authorizations in slots.items():
-            sign = self._resolve_slot(authorizations)
-            setattr(label, slot, sign)
-        return label
-
-    def _initial_label_recorded(self, node: Node) -> Label:
-        """initial_label(n) with full provenance: same signs as the fast
-        path, plus per-slot candidates/winners/overridden and direct
-        origins on the recorder."""
-        recorder = self._recorder
-        label = Label()
-        slots = self._node_slot_auths.get(node)
-        if not slots:
-            return label
-        decisions: dict[str, SlotDecision] = {}
-        origins: dict[str, tuple[Node, str]] = {}
-        for slot, authorizations in slots.items():
-            if len(authorizations) == 1:
-                winners = list(authorizations)
-                overridden: list[Authorization] = []
-                sign = authorizations[0].sign.value
-            else:
-                winners = most_specific(authorizations, self._hierarchy)
-                overridden = [a for a in authorizations if a not in winners]
-                sign = self._policy.resolve([a.sign for a in winners])
-            setattr(label, slot, sign)
-            decisions[slot] = SlotDecision(
-                slot, sign, list(authorizations), winners, overridden
+            setattr(
+                label,
+                slot,
+                resolve_slot_sign(authorizations, self.hierarchy, self.policy),
             )
-            if sign != EPSILON:
-                origins[slot] = (node, slot)
-        recorder.decisions[node] = decisions
-        if origins:
-            recorder.origins[node] = origins
         return label
-
-    def _resolve_slot(self, authorizations: list[Authorization]) -> str:
-        return resolve_slot_sign(authorizations, self._hierarchy, self._policy)
 
     # -- label(n, p) ------------------------------------------------------------
 
     def _label_node(self, node: Node, parent_label: Label) -> Label:
-        if self._recorder is not None:
-            return self._label_node_recorded(node, parent_label)
         label = self._initial_label(node)
         if isinstance(node, Attribute):
             self._propagate_to_attribute(label, parent_label)
@@ -1005,114 +854,6 @@ class TreeLabeler:
 
     _propagate_to_element = staticmethod(propagate_element_label)
     _propagate_to_attribute = staticmethod(propagate_attribute_label)
-
-    # -- label(n, p) with provenance ------------------------------------------
-
-    def _label_node_recorded(self, node: Node, parent_label: Label) -> Label:
-        """The recorded twin of :meth:`_label_node`: identical signs,
-        plus propagation origins / blocked-slot / attribute-input
-        provenance. The walk only visits children of elements, so
-        ``node.parent`` is the labeled parent."""
-        recorder = self._recorder
-        parent = node.parent
-        label = self._initial_label_recorded(node)
-        if isinstance(node, Attribute):
-            self._propagate_attribute_recorded(
-                recorder, node, parent, label, parent_label
-            )
-        elif isinstance(node, Element):
-            self._propagate_element_recorded(
-                recorder, node, parent, label, parent_label
-            )
-        else:
-            label.final = parent_label.final
-            recorder.final_origin[node] = recorder.final_origin.get(parent)
-        recorder.nodes_recorded += 1
-        return label
-
-    @staticmethod
-    def _propagate_element_recorded(
-        recorder: ProvenanceRecorder,
-        node: Node,
-        parent: Node,
-        label: Label,
-        parent_label: Label,
-    ) -> None:
-        """:func:`propagate_element_label` plus origin bookkeeping."""
-        own_r, own_rw, own_rd = label.R, label.RW, label.RD
-        propagate_element_label(label, parent_label)
-        origins = recorder.origins.setdefault(node, {})
-        if own_r == EPSILON and own_rw == EPSILON:
-            if label.R != EPSILON:
-                origins["R"] = recorder.origin_of(parent, "R")
-            if label.RW != EPSILON:
-                origins["RW"] = recorder.origin_of(parent, "RW")
-        elif parent_label.R != EPSILON or parent_label.RW != EPSILON:
-            # The node's own recursive authorization (of either
-            # strength) blocked the parent's pair — "most specific
-            # overrides", a weak label overriding a strong one
-            # included.
-            recorder.blocked[node] = tuple(
-                slot
-                for slot in ("R", "RW")
-                if getattr(parent_label, slot) != EPSILON
-            )
-        if own_rd == EPSILON and label.RD != EPSILON:
-            origins["RD"] = recorder.origin_of(parent, "RD")
-        if not origins:
-            del recorder.origins[node]
-        recorder.record_element_final(node, label)
-
-    @staticmethod
-    def _propagate_attribute_recorded(
-        recorder: ProvenanceRecorder,
-        node: Node,
-        parent: Node,
-        label: Label,
-        parent_label: Label,
-    ) -> None:
-        """:func:`propagate_attribute_label` plus origin bookkeeping,
-        including the parent instance sign that can decide an
-        attribute's final without touching any of its own slots."""
-        origins = recorder.origins.setdefault(node, {})
-        own_weak = label.LW
-        own_ld = label.LD
-        label.LD = first_def(own_ld, parent_label.LD, parent_label.RD)
-        if own_ld == EPSILON and label.LD != EPSILON:
-            source = "LD" if parent_label.LD != EPSILON else "RD"
-            origins["LD"] = recorder.origin_of(parent, source)
-        label.LW = first_def(own_weak, parent_label.LW, parent_label.RW)
-        if own_weak == EPSILON and label.LW != EPSILON:
-            source = "LW" if parent_label.LW != EPSILON else "RW"
-            origins["LW"] = recorder.origin_of(parent, source)
-        parent_instance = first_def(parent_label.L, parent_label.R)
-        recorder.attr_inputs[node] = (own_weak, parent_instance)
-        if own_weak != EPSILON:
-            label.final = first_def(label.L, label.LD, own_weak)
-            if label.L != EPSILON:
-                recorder.final_origin[node] = recorder.origin_of(node, "L")
-            elif label.LD != EPSILON:
-                recorder.final_origin[node] = origins.get("LD", (node, "LD"))
-            else:
-                recorder.final_origin[node] = (node, "LW")
-        else:
-            label.final = first_def(
-                label.L, parent_label.L, parent_label.R, label.LD, label.LW
-            )
-            if label.L != EPSILON:
-                recorder.final_origin[node] = recorder.origin_of(node, "L")
-            elif parent_label.L != EPSILON:
-                recorder.final_origin[node] = recorder.origin_of(parent, "L")
-            elif parent_label.R != EPSILON:
-                recorder.final_origin[node] = recorder.origin_of(parent, "R")
-            elif label.LD != EPSILON:
-                recorder.final_origin[node] = origins.get("LD", (node, "LD"))
-            elif label.LW != EPSILON:
-                recorder.final_origin[node] = origins.get("LW", (node, "LW"))
-            else:
-                recorder.final_origin[node] = None
-        if not origins:
-            del recorder.origins[node]
 
     # -- helpers ---------------------------------------------------------------
 

@@ -863,9 +863,10 @@ class SecureXMLServer:
     ) -> Explanation:
         """Explain *requester*'s view of *uri*, node by node.
 
-        Recomputes the view with a
-        :class:`~repro.core.labeling.ProvenanceRecorder` attached and
-        returns the resulting :class:`~repro.core.explain.Explanation`:
+        Relabels the view and derives every node's provenance from the
+        labeler's bins and labels
+        (:class:`~repro.core.explain.Provenance`), returning the
+        resulting :class:`~repro.core.explain.Explanation`:
         for every node, the candidate authorizations per label slot,
         the conflict-resolution verdict, the exact propagation source
         (which ancestor's authorization a sign was inherited from,

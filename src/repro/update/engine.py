@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.authz.authorization import Authorization, Sign
-from repro.authz.conflict import ConflictPolicy, EPSILON
-from repro.core.labeling import SLOTS, ProvenanceRecorder
+from repro.authz.conflict import ConflictPolicy
+from repro.core.explain import Provenance
 from repro.dtd.validator import validate
 from repro.errors import ReproError, ValidationError
 from repro.limits import Deadline, ResourceLimits
@@ -420,24 +420,13 @@ class UpdateEngine:
     def _admitting_authorizations(
         state: LabelState, node: Node
     ) -> tuple[str, ...]:
-        """Exactly which '+' authorizations decided *node*'s write label.
-
-        Re-derives the node's label with a provenance recorder on a
-        scratch memo (the shared memo may hold unrecorded entries), then
-        follows the final sign to its deciding slot's surviving
-        authorizations.
-        """
-        recorder = ProvenanceRecorder()
-        scratch: dict = {}
-        with state.labeler.recording(recorder):
-            label = state.labeler.label_lazily(node, scratch)
-        origin = recorder.final_origin.get(node)
-        if origin is None:
-            for slot in SLOTS:
-                if getattr(label, slot) != EPSILON:
-                    origin = recorder.origin_of(node, slot)
-                    break
-        decision = recorder.decision_at(origin)
+        """Exactly which '+' authorizations decided *node*'s write label:
+        the surviving authorizations of the slot its final sign came
+        from, derived from the state's bins and label memo by a fresh
+        :class:`~repro.core.explain.Provenance`, so nothing derived
+        outlives an edit."""
+        provenance = Provenance(state.labeler, state.labels)
+        decision = provenance.decision_at(provenance.final_origin(node))
         if decision is None:
             return ()
         return tuple(

@@ -148,25 +148,3 @@ class TestExplainApi:
         assert origin.kind == "inherited"
         assert origin.inherited_from.name == "a"
 
-
-class TestTracingMatchesPlainLabeler:
-    def test_same_finals_on_workload(self):
-        from repro.core.labeling import ProvenanceRecorder, TreeLabeler
-        from repro.workloads.generator import build_workload
-
-        workload = build_workload(nodes=300, auth_count=16, seed=5)
-        plain = TreeLabeler(
-            workload.document,
-            workload.instance_auths,
-            workload.schema_auths,
-            workload.store.hierarchy,
-        ).run()
-        traced = TreeLabeler(
-            workload.document,
-            workload.instance_auths,
-            workload.schema_auths,
-            workload.store.hierarchy,
-            recorder=ProvenanceRecorder(),
-        ).run()
-        for node in plain.labels:
-            assert plain.labels[node].final == traced.labels[node].final

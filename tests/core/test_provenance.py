@@ -1,12 +1,15 @@
-"""Differential tests for the provenance recorder and explain engine.
+"""Differential tests for derived provenance and the explain engine.
 
 The acceptance bar: re-deriving visibility from an :class:`Explanation`
 alone must reproduce ``LabelingResult.final`` for 100 % of nodes, under
-all four conflict policies, over generated corpora — and every non-ε
-final must name the winning authorizations (or its propagation source).
+all four conflict policies, over generated corpora — every non-ε final
+must name the winning authorizations (or its propagation source), and
+explaining one node must say exactly what the whole-document
+explanation says about it.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import (
@@ -15,14 +18,25 @@ from repro.authz.conflict import (
     MajorityTakesPrecedence,
     NothingTakesPrecedence,
     PermissionsTakePrecedence,
+    policy_by_name,
 )
-from repro.core.explain import Explanation, explain_from_auths, explain_view
-from repro.core.labeling import ProvenanceRecorder, TreeLabeler
+from repro.authz.store import AuthorizationStore
+from repro.core.explain import (
+    Explanation,
+    Provenance,
+    explain,
+    explain_from_auths,
+    explain_view,
+)
+from repro.core.labeling import TreeLabeler
 from repro.core.view import compute_view_from_auths
+from repro.subjects.hierarchy import Requester
 from repro.workloads.generator import build_workload
 from repro.workloads.scenarios import lab_scenario
 from repro.xml.parser import parse_document
+from repro.xml.traversal import preorder
 from repro.xpath.evaluator import select
+from tests.core import strategies
 
 ALL_POLICIES = [
     DenialsTakePrecedence,
@@ -206,40 +220,31 @@ class TestRecorderSemantics:
         assert report[text].source_path == report[b].source_path
 
     def test_conflict_candidates_and_verdict_recorded(self):
-        recorder = ProvenanceRecorder()
         document = parse_document("<a><b/></a>", uri=self.URI)
         plus = Authorization.build("Public", f"{self.URI}://b", "+", "R")
         minus = Authorization.build("Public", f"{self.URI}://b", "-", "R")
-        from repro.authz.store import AuthorizationStore
-
         store = AuthorizationStore()
         store.add_all([plus, minus])
-        TreeLabeler(
+        labeler = TreeLabeler(
             document,
             [plus, minus],
             [],
             store.hierarchy,
             policy=NothingTakesPrecedence(),
-            recorder=recorder,
-        ).run()
+        )
+        provenance = Provenance(labeler, labeler.run().labels)
         b = select("//b", document)[0]
-        decision = recorder.decisions[b]["R"]
+        decision = provenance.decisions(b)["R"]
         assert decision.sign == EPSILON  # the conflict dissolved
         assert len(decision.candidates) == 2
         assert plus in decision.candidates and minus in decision.candidates
-        assert recorder.final_origin[b] is None
-        from repro.xml.traversal import preorder
-
-        assert recorder.nodes_recorded == len(list(preorder(document.root)))
-
-    def test_disabled_recorder_records_nothing(self):
-        document = parse_document("<a><b/></a>", uri=self.URI)
-        from repro.authz.store import AuthorizationStore
-
-        store = AuthorizationStore()
-        labeler = TreeLabeler(document, [], [], store.hierarchy)
-        labeler.run()
-        assert labeler._recorder is None
+        assert decision.overridden == []  # same subject: both survive
+        assert provenance.origins(b) == {}
+        assert provenance.final_origin(b) is None
+        # Every node is derivable, and nothing here decided a sign.
+        assert [
+            provenance.final_origin(node) for node in preorder(document.root)
+        ] == [None, None]
 
 
 class TestExplanationRendering:
@@ -270,3 +275,54 @@ class TestExplanationRendering:
         assert "explanation for" in text
         assert explanation[node].path in text
         assert len(explanation.target_explanations) == 1
+
+
+ALICE = Requester("alice", "10.0.0.1", "pc.props.example")
+
+
+class TestDerivedProvenanceProperty:
+    """Explaining one node agrees with the whole-document explanation,
+    and both agree with the plain labeler, for every node."""
+
+    @pytest.mark.parametrize("open_policy", [False, True])
+    @pytest.mark.parametrize("policy_name", strategies.CONFLICT_POLICIES)
+    @given(
+        document=strategies.documents(),
+        pairs=st.lists(strategies.authorizations(), max_size=8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_single_node_explain_matches_whole_document(
+        self, policy_name, open_policy, document, pairs
+    ):
+        store = AuthorizationStore(strategies.hierarchy())
+        store.add_all(authorization for authorization, _ in pairs)
+        instance = store.applicable(ALICE, strategies.URI, "read")
+        schema = store.applicable(ALICE, strategies.DTD_URI, "read")
+        plain = TreeLabeler(
+            document,
+            instance,
+            schema,
+            store.hierarchy,
+            policy=policy_by_name(policy_name),
+        ).run()
+        whole = explain_from_auths(
+            document,
+            instance,
+            schema,
+            store.hierarchy,
+            policy=policy_by_name(policy_name),
+            open_policy=open_policy,
+        )
+        assert len(whole) == len(plain.labels)
+        for node, label in plain.labels.items():
+            assert whole.rederive_final(node) == label.final
+            single = explain(
+                document,
+                node,
+                ALICE,
+                store,
+                dtd_uri=strategies.DTD_URI,
+                policy=policy_by_name(policy_name),
+                open_policy=open_policy,
+            )
+            assert single.as_dict() == whole[node].as_dict()

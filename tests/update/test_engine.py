@@ -8,7 +8,8 @@ relabel bookkeeping on :class:`UpdateResult` and write provenance.
 
 import pytest
 
-from repro.authz.authorization import Authorization
+from repro.authz.authorization import Authorization, Sign
+from repro.core.explain import explain
 from repro.errors import ValidationError
 from repro.server.request import AccessRequest
 from repro.server.service import SecureXMLServer
@@ -16,6 +17,7 @@ from repro.subjects.hierarchy import Requester, SubjectHierarchy
 from repro.update import (
     ReplaceSubtree,
     SetAttribute,
+    SetText,
     UpdateDenied,
     UpdateEngine,
     UpdateRequest,
@@ -25,6 +27,7 @@ from repro.xml.nodes import Attribute, Element
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xml.traversal import preorder
+from repro.xpath.evaluator import select
 
 URI = "http://x/tasks.xml"
 DTD_URI = "http://x/tasks.dtd"
@@ -229,3 +232,49 @@ class TestWriteProvenance:
             document, request, auths, [], collect_admitted=True
         )
         assert collected.outcome.admitted
+
+    @pytest.mark.parametrize(
+        "operation, slot, kind",
+        [
+            # alice's own instance-level R grant on her task.
+            (SetAttribute("//task[@owner='alice']", "state", "done"), "R", "direct"),
+            # The title inherits the task's R grant.
+            (SetText("//task[@owner='alice']/title", "renamed"), "R", "inherited"),
+            # A schema-level grant decides bob's note.
+            (SetText("//task[@owner='bob']/note", "q"), "LD", "direct"),
+        ],
+    )
+    def test_admitted_is_the_write_explanations_winning_grants(
+        self, server, operation, slot, kind
+    ):
+        server.grant(
+            Authorization.build(
+                ("alice", "*", "*"),
+                f"{DTD_URI}://task[@owner='bob']/note",
+                "+",
+                "L",
+                action="write",
+            )
+        )
+        before = server.repository.document(URI)
+        expected = []
+        for node in select(operation.target, before):
+            explained = explain(
+                before, node, alice(), server.store, dtd_uri=DTD_URI, action="write"
+            )
+            deciding = next(o for o in explained.origins if o.slot == slot)
+            assert (explained.deciding_slot, deciding.kind) == (slot, kind)
+            expected.append(
+                (
+                    explained.path,
+                    tuple(
+                        grant.unparse()
+                        for grant in explained.winning
+                        if grant.sign is Sign.PLUS
+                    ),
+                )
+            )
+        outcome = server.update(UpdateRequest.of(alice(), URI, operation))
+        assert outcome.applied
+        assert expected and all(grants for _, grants in expected)
+        assert list(outcome.admitted) == expected
