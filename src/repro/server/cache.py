@@ -79,7 +79,8 @@ class Flight:
 
 
 class ViewCache:
-    """A bounded LRU keyed by (uri, applicable-auth identity, knobs).
+    """A bounded LRU keyed by :meth:`class_key` (uri, effective class,
+    action, policy knobs, validity marker).
 
     The cache keeps its own effectiveness counters — ``hits``,
     ``misses``, ``evictions``, ``stale``, ``shared`` — exposed as a
@@ -121,25 +122,6 @@ class ViewCache:
         self.revalidated = 0
 
     @staticmethod
-    def key(
-        uri: str,
-        instance_auths,
-        schema_auths,
-        action: str,
-        policy_marker: Hashable,
-    ) -> Hashable:
-        """Build a cache key from the *identities* of the applicable
-        authorizations (5-tuples are shared objects in the store, so
-        identity equality is exact)."""
-        return (
-            uri,
-            tuple(id(a) for a in instance_auths),
-            tuple(id(a) for a in schema_auths),
-            action,
-            policy_marker,
-        )
-
-    @staticmethod
     def class_key(
         uri: str,
         effective_class: Hashable,
@@ -149,8 +131,8 @@ class ViewCache:
     ) -> Hashable:
         """Build a cache key from a requester's *effective class*.
 
-        Unlike :meth:`key`, this does not require binding the
-        applicable authorizations first — equal
+        Building it does not require binding the applicable
+        authorizations first — equal
         :class:`~repro.subjects.canonical.EffectiveClass` keys imply
         equal applicable sets, so distinct-but-equivalent requesters
         collapse onto one entry and a cache hit skips the bind

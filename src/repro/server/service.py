@@ -53,6 +53,7 @@ from repro.update import (
     UpdateOutcome,
     UpdateRequest,
 )
+from repro.update.consistency import check_write_consistency
 from repro.stream.events import DoctypeDecl, StartElement
 from repro.stream.labeler import StreamLabeler
 from repro.stream.paths import StreamPathUnsupported
@@ -266,7 +267,8 @@ class SecureXMLServer:
         authorizations share one cached entry, and a hit skips the
         authorization bind as well as the tree work (store/document
         versions and a time-validity marker guard freshness — see
-        docs/VIEWS.md's sharing model).
+        docs/VIEWS.md's sharing model). :meth:`serve_stream` shares
+        the same entries.
         Concurrent misses on one key are collapsed by the cache's
         single-flight protocol: the first request computes the view,
         the rest wait and share the result (one labeling pass, audited
@@ -290,214 +292,9 @@ class SecureXMLServer:
         entry is the whole request). See docs/OBSERVABILITY.md.
         """
         with self._request_scope("serve") as scope:
-            response = self._serve(request, limits)
+            response = self._serve(request, limits, "serve")
         response.timings = scope.timings
         return response
-
-    def _serve(
-        self, request: AccessRequest, limits: Optional[ResourceLimits]
-    ) -> AccessResponse:
-        limits = limits if limits is not None else self.limits
-        deadline = limits.deadline()
-        self._enforce_history_limit(request.requester, request.uri)
-        started = time.perf_counter()
-        stored = self._stored(request.requester, request.uri, request.action)
-        # Version snapshot for the cache protocol, taken *before* the
-        # tree and the authorizations are read: if a concurrent
-        # update/grant lands in between, the entry we build is labelled
-        # with the pre-mutation versions and therefore immediately
-        # stale (safe), never wrongly fresh.
-        store_version = self.store.version
-        document_version = stored.version
-        try:
-            deadline.check("request")
-            document = stored.document(limits=limits, deadline=deadline)
-        except ResourceError as exc:
-            return self._guard_failure(request, exc, started, kind="serve")
-        config = self.policy_for(request.uri)
-        now = time.time()
-        dtd_uri = self.repository.dtd_uri_of(request.uri)
-        policy_marker = (
-            config.conflict_policy,
-            config.open_policy,
-            config.relative_paths,
-        )
-
-        # The cache is keyed on the requester's *effective class* (plus
-        # the time-validity marker), not on the bound authorization
-        # identities: distinct-but-equivalent requesters share one
-        # entry, and a hit skips authorization binding entirely. The
-        # bind happens below, only when a view is actually computed.
-        cache_key = None
-        cache_note = ""
-        if self.view_cache is not None:
-            cache_key = ViewCache.class_key(
-                request.uri,
-                self._effective_class(request.requester, request.action),
-                request.action,
-                policy_marker,
-                self._validity_marker(request.uri, dtd_uri, request.action, now),
-            )
-            self._remember_requester(cache_key, request.requester)
-            try:
-                hit = self.view_cache.get(
-                    cache_key, store_version, document_version
-                )
-            except Exception:
-                # Degrade, don't die: a broken cache means recomputing
-                # the view, not failing the request. Skip the put too.
-                hit, cache_key = None, None
-                cache_note = "cache unavailable; view recomputed"
-                self.metrics.counter(
-                    "cache_degraded_total", event="get-failed"
-                ).inc()
-            else:
-                self._meter(
-                    "counter",
-                    "viewcache_requests_total",
-                    {"result": "hit" if hit is not None else "miss"},
-                    1,
-                )
-            if hit is not None:
-                return self._cached_response(request, hit, started, "cache hit")
-
-        # Single-flight: the first miss on a key becomes the leader and
-        # computes the view; concurrent misses on the same key park on
-        # its Flight and share the result — one labeling pass, not N.
-        lead, flight = False, None
-        if self.view_cache is not None and cache_key is not None:
-            lead, flight = self.view_cache.begin_flight(cache_key)
-            if not lead:
-                shared = flight.wait(timeout=deadline.remaining())
-                if (
-                    shared is not None
-                    and shared.store_version == store_version
-                    and shared.document_version == document_version
-                ):
-                    self.view_cache.record_shared()
-                    self.metrics.counter(
-                        "single_flight_total", outcome="shared"
-                    ).inc()
-                    return self._cached_response(
-                        request, shared, started, "cache hit (single-flight)"
-                    )
-                # Leader failed, timed out, or computed under different
-                # versions: compute our own view, without leadership.
-                self.metrics.counter(
-                    "single_flight_total", outcome="recomputed"
-                ).inc()
-
-        with span("authz.bind"):
-            instance_auths = self.store.applicable(
-                request.requester, request.uri, request.action, at=now
-            )
-            schema_auths = (
-                self.store.applicable(
-                    request.requester, dtd_uri, request.action, at=now
-                )
-                if dtd_uri
-                else []
-            )
-
-        cached_entry: Optional[CachedView] = None
-        try:
-            try:
-                view = compute_view_from_auths(
-                    document,
-                    instance_auths,
-                    schema_auths,
-                    self.hierarchy,
-                    policy=config.build_policy(),
-                    open_policy=config.open_policy,
-                    relative_mode=config.relative_paths,
-                    limits=limits,
-                    deadline=deadline,
-                )
-            except ResourceError as exc:
-                return self._guard_failure(request, exc, started, kind="serve")
-            elapsed = time.perf_counter() - started
-            with span("serialize"):
-                xml_text = serialize(view.document, doctype=False)
-                loosened = view.document.dtd
-                loosened_text = serialize_dtd(loosened) if loosened else None
-            if self.view_cache is not None and cache_key is not None:
-                entry = CachedView(
-                    xml_text=xml_text,
-                    loosened_dtd_text=loosened_text,
-                    empty=view.empty,
-                    visible_nodes=view.visible_nodes,
-                    total_nodes=view.total_nodes,
-                    store_version=store_version,
-                    document_version=document_version,
-                )
-                try:
-                    self.view_cache.put(cache_key, entry)
-                except Exception:
-                    cache_note = "cache store failed; view served uncached"
-                    self.metrics.counter(
-                        "cache_degraded_total", event="put-failed"
-                    ).inc()
-                # Even when the put failed, parked followers can still
-                # reuse the computed entry — it is correct regardless of
-                # whether the cache kept it.
-                cached_entry = entry
-        finally:
-            if lead:
-                self.view_cache.end_flight(cache_key, flight, cached_entry)
-        response = AccessResponse(
-            uri=request.uri,
-            xml_text=xml_text,
-            loosened_dtd_text=loosened_text,
-            empty=view.empty,
-            visible_nodes=view.visible_nodes,
-            total_nodes=view.total_nodes,
-            elapsed_seconds=elapsed,
-        )
-        outcome = "empty" if view.empty else "released"
-        self._record_request("serve", outcome, elapsed)
-        self.audit.record(
-            request.requester,
-            request.uri,
-            request.action,
-            outcome,
-            visible_nodes=view.visible_nodes,
-            total_nodes=view.total_nodes,
-            elapsed_seconds=elapsed,
-            detail=cache_note,
-        )
-        return response
-
-    def _cached_response(
-        self,
-        request: AccessRequest,
-        hit: CachedView,
-        started: float,
-        detail: str,
-    ) -> AccessResponse:
-        """Answer a request from a :class:`CachedView` (a cache hit or a
-        shared single-flight result), with the usual accounting."""
-        elapsed = time.perf_counter() - started
-        outcome = "empty" if hit.empty else "released"
-        self._record_request("serve", outcome, elapsed)
-        self.audit.record(
-            request.requester,
-            request.uri,
-            request.action,
-            outcome,
-            visible_nodes=hit.visible_nodes,
-            total_nodes=hit.total_nodes,
-            elapsed_seconds=elapsed,
-            detail=detail,
-        )
-        return AccessResponse(
-            uri=request.uri,
-            xml_text=hit.xml_text,
-            loosened_dtd_text=hit.loosened_dtd_text,
-            empty=hit.empty,
-            visible_nodes=hit.visible_nodes,
-            total_nodes=hit.total_nodes,
-            elapsed_seconds=elapsed,
-        )
 
     def serve_stream(
         self,
@@ -525,122 +322,285 @@ class SecureXMLServer:
         bytes leave before the last input byte is read. *feed_size* is
         how much source is handed to the reader per step.
 
-        When an applicable authorization's path expression falls
-        outside the streamable XPath subset, the request transparently
-        falls back to the DOM pipeline (counted on
-        ``stream_fallback_total``); correctness is never traded for
-        streaming. The view cache is bypassed in both directions —
-        streaming neither reads nor populates it.
+        The request runs :meth:`serve`'s flow and shares its view
+        cache: a cache hit or a shared single-flight result answers
+        without streaming, and a streamed view is cached for both entry
+        points. When an applicable authorization's path expression
+        falls outside the streamable XPath subset, the same request
+        falls back to the DOM pipeline, under its deadline and counted
+        as ``serve_stream`` (and on ``stream_fallback_total``);
+        correctness is never traded for streaming. A view that did not
+        stream — a hit, a shared result or a fallback — reaches *sink*
+        in *chunk_size* pieces.
         """
         with self._request_scope("serve_stream") as scope:
-            response = self._serve_stream(
-                request, limits, sink, chunk_size, feed_size
+            response = self._serve(
+                request, limits, "serve_stream", sink, chunk_size, feed_size
             )
         response.timings = scope.timings
         return response
 
-    def _serve_stream(
+    def _serve(
         self,
         request: AccessRequest,
         limits: Optional[ResourceLimits],
-        sink,
-        chunk_size: int,
-        feed_size: int,
+        kind: str,
+        sink=None,
+        chunk_size: int = 65536,
+        feed_size: int = 65536,
     ) -> AccessResponse:
+        """The one request flow behind :meth:`serve` (*kind* ``serve``,
+        the DOM backend) and :meth:`serve_stream` (``serve_stream``,
+        the streaming backend): history check, version snapshot, cache
+        probe and single-flight, the backend on a miss, cache put, and
+        one step for the response, metrics and audit record."""
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
-        self._enforce_history_limit(request.requester, request.uri)
+        self._enforce_history_limit(request.requester, request.uri, kind)
         started = time.perf_counter()
-        stored = self._stored(request.requester, request.uri, request.action)
-        config = self.policy_for(request.uri)
+        stored = self._stored(request.requester, request.uri, request.action, kind)
+        # Version snapshot for the cache protocol, taken *before* the
+        # tree and the authorizations are read: if a concurrent
+        # update/grant lands in between, the entry we build is labelled
+        # with the pre-mutation versions and therefore immediately
+        # stale (safe), never wrongly fresh.
+        versions = (self.store.version, stored.version)
+        # One clock reading keys the cache and binds the authorizations,
+        # so a key never describes another validity window than its view.
+        now = time.time()
+        dtd_uri = stored.dtd_uri
+        backend = "stream" if kind == "serve_stream" else "dom"
+        notes: list[str] = []
         try:
             deadline.check("request")
-            xml_text, labeler = self._stream_view(
-                request, stored, config, limits, deadline,
-                sink=sink, chunk_size=chunk_size, feed_size=feed_size,
-            )
-        except StreamPathUnsupported as exc:
-            self.metrics.counter(
-                "stream_fallback_total", reason="unsupported-path"
-            ).inc()
-            self.audit.record(
-                request.requester,
-                request.uri,
-                request.action,
-                "fallback",
-                detail=f"stream fallback: {exc}",
-                backend="stream",
-            )
-            return self._serve(request, limits)
         except ResourceError as exc:
             return self._guard_failure(
-                request, exc, started, kind="serve_stream", backend="stream"
+                request, exc, started, kind=kind, backend=backend
             )
 
-        dtd = labeler.dtd
-        if dtd is None and stored.dtd_uri and self.repository.has_dtd(stored.dtd_uri):
-            dtd = self.repository.dtd(stored.dtd_uri)
-        loosened_text = None
-        if dtd is not None:
-            with span("dtd.loosen"):
-                loosened_text = serialize_dtd(loosen(dtd))
+        # The cache is keyed on the requester's *effective class* (plus
+        # the time-validity marker), not on the bound authorization
+        # identities: distinct-but-equivalent requesters share one
+        # entry, and a hit skips authorization binding entirely. The
+        # bind happens in the backend, only when a view is computed.
+        cache_key = None
+        lead, flight = False, None
+        if self.view_cache is not None:
+            cache_key = self._class_key(
+                request.requester, request.uri, dtd_uri, request.action, now
+            )
+            self._remember_requester(cache_key, request.requester)
+            try:
+                hit = self.view_cache.get(cache_key, *versions)
+            except Exception:
+                # Degrade, don't die: a broken cache means recomputing
+                # the view, not failing the request. Skip the put too.
+                hit, cache_key = None, None
+                notes.append("cache unavailable; view recomputed")
+                self.metrics.counter(
+                    "cache_degraded_total", event="get-failed"
+                ).inc()
+            else:
+                self._meter(
+                    "counter",
+                    "viewcache_requests_total",
+                    {"result": "hit" if hit is not None else "miss"},
+                    1,
+                )
+            if hit is not None:
+                return self._respond(
+                    request, kind, hit, started, "cache hit", backend,
+                    sink, chunk_size,
+                )
+            # Single-flight: the first miss on a key becomes the leader
+            # and computes the view; concurrent misses on the same key
+            # park on its Flight and share the result — one labeling
+            # pass, not N.
+            if cache_key is not None:
+                lead, flight = self.view_cache.begin_flight(cache_key)
+                if not lead:
+                    shared = flight.wait(timeout=deadline.remaining())
+                    if shared is not None and (
+                        shared.store_version, shared.document_version
+                    ) == versions:
+                        self.view_cache.record_shared()
+                        self.metrics.counter(
+                            "single_flight_total", outcome="shared"
+                        ).inc()
+                        return self._respond(
+                            request, kind, shared, started,
+                            "cache hit (single-flight)", backend,
+                            sink, chunk_size,
+                        )
+                    # Leader failed, timed out, or computed under
+                    # different versions: compute our own view, without
+                    # leadership.
+                    self.metrics.counter(
+                        "single_flight_total", outcome="recomputed"
+                    ).inc()
 
+        shareable: Optional[CachedView] = None
+        try:
+            try:
+                if backend == "stream":
+                    try:
+                        view = self._stream_view(
+                            request, stored, now, versions, limits, deadline,
+                            sink, chunk_size, feed_size,
+                        )
+                        notes.append("streamed")
+                        sink = None  # the writer already delivered it
+                    except StreamPathUnsupported as exc:
+                        self.metrics.counter(
+                            "stream_fallback_total", reason="unsupported-path"
+                        ).inc()
+                        self.audit.record(
+                            request.requester,
+                            request.uri,
+                            request.action,
+                            "fallback",
+                            detail=f"stream fallback: {exc}",
+                            backend="stream",
+                        )
+                        backend = "dom"
+                if backend == "dom":
+                    view = self._dom_view(
+                        request, stored, now, versions, limits, deadline
+                    )
+            except ResourceError as exc:
+                return self._guard_failure(
+                    request, exc, started, kind=kind, backend=backend
+                )
+            # A deferred document's first request learns its DTD URI
+            # (from the parse or the DOCTYPE) only now, so the key it
+            # probed with lacks the schema validity marker: keep its
+            # view out of the cache and away from followers.
+            if cache_key is not None and stored.dtd_uri == dtd_uri:
+                try:
+                    self.view_cache.put(cache_key, view)
+                except Exception:
+                    notes.append("cache store failed; view served uncached")
+                    self.metrics.counter(
+                        "cache_degraded_total", event="put-failed"
+                    ).inc()
+                # Even when the put failed, parked followers can still
+                # reuse the computed entry — it is correct regardless of
+                # whether the cache kept it.
+                shareable = view
+        finally:
+            if lead:
+                self.view_cache.end_flight(cache_key, flight, shareable)
+        return self._respond(
+            request, kind, view, started, "; ".join(notes), backend,
+            sink, chunk_size,
+        )
+
+    def _respond(
+        self,
+        request: AccessRequest,
+        kind: str,
+        view: CachedView,
+        started: float,
+        detail: str,
+        backend: str,
+        sink,
+        chunk_size: int,
+    ) -> AccessResponse:
+        """Answer a request from *view* — a cache hit, a shared
+        single-flight result or a freshly computed view — with its
+        metrics and audit record. *sink*, when given, receives the view
+        text in *chunk_size* pieces."""
+        if sink is not None:
+            text = view.xml_text
+            step = max(1, chunk_size)
+            for offset in range(0, len(text), step):
+                sink(text[offset : offset + step])
         elapsed = time.perf_counter() - started
-        stats = labeler.stats
-        self.metrics.counter("stream_events_total").inc(stats.events)
-        if stats.buffered_elements:
-            self.metrics.counter("stream_buffered_subtrees_total").inc(
-                stats.buffered_elements
-            )
-        self.metrics.histogram("stream_peak_buffer_depth").observe(
-            stats.peak_pending_depth
-        )
-        response = AccessResponse(
-            uri=request.uri,
-            xml_text=xml_text,
-            loosened_dtd_text=loosened_text,
-            empty=labeler.empty,
-            visible_nodes=stats.visible_nodes,
-            total_nodes=stats.total_nodes,
-            elapsed_seconds=elapsed,
-        )
-        outcome = "empty" if labeler.empty else "released"
-        self._record_request("serve_stream", outcome, elapsed)
+        outcome = "empty" if view.empty else "released"
+        self._record_request(kind, outcome, elapsed)
         self.audit.record(
             request.requester,
             request.uri,
             request.action,
             outcome,
-            visible_nodes=stats.visible_nodes,
-            total_nodes=stats.total_nodes,
+            visible_nodes=view.visible_nodes,
+            total_nodes=view.total_nodes,
             elapsed_seconds=elapsed,
-            detail="streamed",
-            backend="stream",
+            detail=detail,
+            backend=backend,
         )
-        return response
+        return AccessResponse(
+            uri=request.uri,
+            xml_text=view.xml_text,
+            loosened_dtd_text=view.loosened_dtd_text,
+            empty=view.empty,
+            visible_nodes=view.visible_nodes,
+            total_nodes=view.total_nodes,
+            elapsed_seconds=elapsed,
+        )
+
+    def _dom_view(
+        self,
+        request: AccessRequest,
+        stored,
+        now: float,
+        versions: tuple[int, int],
+        limits: ResourceLimits,
+        deadline: Deadline,
+    ) -> CachedView:
+        """The DOM backend: parse (a deferred document's first
+        request), bind at *now*, label, prune and serialize. Resource
+        guards propagate; *versions* stamp the returned view."""
+        document = stored.document(limits=limits, deadline=deadline)
+        config = self.policy_for(request.uri)
+        instance_auths, schema_auths = self._bind(
+            request.requester, request.uri, stored.dtd_uri, request.action, now
+        )
+        view = compute_view_from_auths(
+            document,
+            instance_auths,
+            schema_auths,
+            self.hierarchy,
+            policy=config.build_policy(),
+            open_policy=config.open_policy,
+            relative_mode=config.relative_paths,
+            limits=limits,
+            deadline=deadline,
+        )
+        with span("serialize"):
+            loosened = view.document.dtd
+            return CachedView(
+                serialize(view.document, doctype=False),
+                serialize_dtd(loosened) if loosened else None,
+                view.empty,
+                view.visible_nodes,
+                view.total_nodes,
+                *versions,
+            )
 
     def _stream_view(
         self,
         request: AccessRequest,
         stored,
-        config: PolicyConfig,
+        now: float,
+        versions: tuple[int, int],
         limits: ResourceLimits,
         deadline: Deadline,
         sink=None,
         chunk_size: int = 65536,
         feed_size: int = 65536,
-    ) -> tuple[str, StreamLabeler]:
-        """Run the reader → labeler → writer pipeline for one request.
+    ) -> CachedView:
+        """The streaming backend: reader → labeler → writer, binding at
+        *now*; *versions* stamp the returned view.
 
-        Returns the view text and the finished labeler (stats, doctype
-        info, emptiness). Raises
-        :class:`~repro.stream.paths.StreamPathUnsupported` when an
-        applicable authorization cannot be compiled for streaming, and
-        lets resource guards (:class:`~repro.errors.ResourceError`) and
-        syntax errors propagate — the callers decide how to surface
-        them.
+        Raises :class:`~repro.stream.paths.StreamPathUnsupported` when
+        an applicable authorization cannot be compiled for streaming
+        (before anything reaches *sink*), and lets resource guards
+        (:class:`~repro.errors.ResourceError`) and syntax errors
+        propagate — the callers decide how to surface them.
         """
         text = stored.source_text()
+        config = self.policy_for(request.uri)
         reader = StreamReader(limits=limits, deadline=deadline)
         writer = StreamWriter(sink=sink, chunk_size=chunk_size)
         # The labeler is built lazily, at the root element: by then the
@@ -662,19 +622,13 @@ class SecureXMLServer:
             )
             if stored.dtd_uri is None and doctype_system is not None:
                 stored.dtd_uri = doctype_system
-            now = time.time()
-            with span("authz.bind"):
-                instance_auths = self.store.applicable(
-                    request.requester, request.uri, request.action, at=now
-                )
-                dtd_uri = stored.dtd_uri
-                schema_auths = (
-                    self.store.applicable(
-                        request.requester, dtd_uri, request.action, at=now
-                    )
-                    if dtd_uri
-                    else []
-                )
+            instance_auths, schema_auths = self._bind(
+                request.requester,
+                request.uri,
+                stored.dtd_uri,
+                request.action,
+                now,
+            )
             with span("stream.compile"):
                 return StreamLabeler(
                     writer,
@@ -707,7 +661,31 @@ class SecureXMLServer:
             else:
                 labeler.feed(events)
             xml_text = writer.end_document()
-        return xml_text, labeler
+
+        dtd = labeler.dtd
+        if dtd is None and stored.dtd_uri and self.repository.has_dtd(stored.dtd_uri):
+            dtd = self.repository.dtd(stored.dtd_uri)
+        loosened_text = None
+        if dtd is not None:
+            with span("dtd.loosen"):
+                loosened_text = serialize_dtd(loosen(dtd))
+        stats = labeler.stats
+        self.metrics.counter("stream_events_total").inc(stats.events)
+        if stats.buffered_elements:
+            self.metrics.counter("stream_buffered_subtrees_total").inc(
+                stats.buffered_elements
+            )
+        self.metrics.histogram("stream_peak_buffer_depth").observe(
+            stats.peak_pending_depth
+        )
+        return CachedView(
+            xml_text,
+            loosened_text,
+            labeler.empty,
+            stats.visible_nodes,
+            stats.total_nodes,
+            *versions,
+        )
 
     def query(
         self,
@@ -769,10 +747,14 @@ class SecureXMLServer:
                 stored = self._stored(
                     request.requester, request.uri, request.action
                 )
-                config = self.policy_for(request.uri)
                 try:
-                    xml_text, labeler = self._stream_view(
-                        request, stored, config, limits, deadline
+                    streamed = self._stream_view(
+                        request,
+                        stored,
+                        time.time(),
+                        (self.store.version, stored.version),
+                        limits,
+                        deadline,
                     )
                 except StreamPathUnsupported:
                     self.metrics.counter(
@@ -783,16 +765,16 @@ class SecureXMLServer:
                     # it match nothing (as in the DOM path).
                     view_document = (
                         Document()
-                        if labeler.empty
+                        if streamed.empty
                         else parse_document(
-                            xml_text,
+                            streamed.xml_text,
                             uri=request.uri,
                             limits=limits,
                             deadline=deadline,
                         )
                     )
-                    visible_nodes = labeler.stats.visible_nodes
-                    total_nodes = labeler.stats.total_nodes
+                    visible_nodes = streamed.visible_nodes
+                    total_nodes = streamed.total_nodes
                     backend = "stream"
             if view_document is None:
                 view = self._view_for(
@@ -904,18 +886,10 @@ class SecureXMLServer:
         stored = self._stored(requester, uri, action)
         document = stored.document(limits=limits, deadline=deadline)
         config = self.policy_for(uri)
-        now = time.time()
         with span("decision.explain"):
-            with span("authz.bind"):
-                instance_auths = self.store.applicable(
-                    requester, uri, action, at=now
-                )
-                dtd_uri = self.repository.dtd_uri_of(uri)
-                schema_auths = (
-                    self.store.applicable(requester, dtd_uri, action, at=now)
-                    if dtd_uri
-                    else []
-                )
+            instance_auths, schema_auths = self._bind(
+                requester, uri, stored.dtd_uri, action, time.time()
+            )
             explanation = explain_from_auths(
                 document,
                 instance_auths,
@@ -995,12 +969,6 @@ class SecureXMLServer:
             request.requester, request.uri, request.action, kind="update"
         )
         config = self.policy_for(request.uri)
-        policy_marker = (
-            config.conflict_policy,
-            config.open_policy,
-            config.relative_paths,
-        )
-        dtd_uri = self.repository.dtd_uri_of(request.uri)
         # The whole read-clone-apply-commit cycle runs under the
         # per-document lock: concurrent readers stay lock-free on the
         # old tree, but a second writer waits instead of cloning the
@@ -1014,28 +982,16 @@ class SecureXMLServer:
                 document = stored.document(limits=limits, deadline=deadline)
             except ResourceError as exc:
                 return self._update_guard_failure(request, exc, started)
-            with span("authz.bind"):
-                instance_auths = self.store.applicable(
-                    request.requester, request.uri, request.action, at=now
-                )
-                schema_auths = (
-                    self.store.applicable(
-                        request.requester, dtd_uri, request.action, at=now
-                    )
-                    if dtd_uri
-                    else []
-                )
+            instance_auths, schema_auths = self._bind(
+                request.requester, request.uri, stored.dtd_uri, request.action, now
+            )
             engine = UpdateEngine(
                 self.hierarchy,
                 policy=config.build_policy(),
                 relative_mode=config.relative_paths,
             )
-            state_key = (
-                request.uri,
-                self._effective_class(request.requester, request.action),
-                request.action,
-                policy_marker,
-                self._validity_marker(request.uri, dtd_uri, request.action, now),
+            state_key = self._class_key(
+                request.requester, request.uri, stored.dtd_uri, request.action, now
             )
             state = self._claim_update_state(
                 state_key, store_version, old_version, document
@@ -1116,28 +1072,17 @@ class SecureXMLServer:
         self, request: UpdateRequest, exc: ResourceError, started: float
     ) -> UpdateOutcome:
         """Turn a tripped guard on the write path into a structured,
-        audited :class:`UpdateOutcome` instead of a raised traceback."""
-        elapsed = time.perf_counter() - started
-        trip_kind = (
-            "deadline-exceeded"
-            if isinstance(exc, DeadlineExceeded)
-            else "limit-exceeded"
-        )
-        self.metrics.counter("guard_trips_total", kind=trip_kind).inc()
+        audited :class:`UpdateOutcome` instead of a raised traceback,
+        with the read path's trip accounting."""
         self._meter(
             "counter", "update_requests_total", {"outcome": "error"}, 1
         )
-        self._record_request("update", "error", elapsed)
-        self.audit.record(
-            request.requester,
-            request.uri,
-            request.action,
-            "error",
-            elapsed_seconds=elapsed,
-            detail=f"{trip_kind}: {exc}",
-            backend="update",
+        failure = self._guard_failure(
+            request, exc, started, kind="update", backend="update"
         )
-        return UpdateOutcome(applied=False, error=exc, error_kind=trip_kind)
+        return UpdateOutcome(
+            applied=False, error=exc, error_kind=failure.error_kind
+        )
 
     def _claim_update_state(
         self, key, store_version: int, document_version: int, document
@@ -1285,27 +1230,13 @@ class SecureXMLServer:
         if requester is None:
             return None
         uri, _effective, action, _policy_marker, _validity = key
-        config = self.policy_for(uri)
         now = time.time()
         dtd_uri = self.repository.dtd_uri_of(uri)
-        current = ViewCache.class_key(
-            uri,
-            self._effective_class(requester, action),
-            action,
-            (
-                config.conflict_policy,
-                config.open_policy,
-                config.relative_paths,
-            ),
-            self._validity_marker(uri, dtd_uri, action, now),
-        )
-        if current != key:
+        if self._class_key(requester, uri, dtd_uri, action, now) != key:
             return None
-        instance_auths = self.store.applicable(requester, uri, action, at=now)
-        schema_auths = (
-            self.store.applicable(requester, dtd_uri, action, at=now)
-            if dtd_uri
-            else []
+        config = self.policy_for(uri)
+        instance_auths, schema_auths = self._bind(
+            requester, uri, dtd_uri, action, now
         )
         try:
             return VisibilityOracle(
@@ -1337,10 +1268,8 @@ class SecureXMLServer:
         the minimal read grant that would expose the node, attributed
         to the requester. Audited with backend ``update`` and outcome
         ``accept`` (no findings) or ``repair``. Returns the list of
-        :class:`~repro.authz.consistency.ConsistencyFinding`.
+        :class:`~repro.update.consistency.ConsistencyFinding`.
         """
-        from repro.authz.consistency import check_write_consistency
-
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
         with self._request_scope("consistency"):
@@ -1349,26 +1278,19 @@ class SecureXMLServer:
             document = stored.document(limits=limits, deadline=deadline)
             config = self.policy_for(uri)
             now = time.time()
-            dtd_uri = self.repository.dtd_uri_of(uri)
+            read_instance, read_schema = self._bind(
+                requester, uri, stored.dtd_uri, "read", now
+            )
+            write_instance, write_schema = self._bind(
+                requester, uri, stored.dtd_uri, "write", now
+            )
             findings = check_write_consistency(
                 document,
                 uri=uri,
-                read_instance=self.store.applicable(
-                    requester, uri, "read", at=now
-                ),
-                read_schema=(
-                    self.store.applicable(requester, dtd_uri, "read", at=now)
-                    if dtd_uri
-                    else []
-                ),
-                write_instance=self.store.applicable(
-                    requester, uri, "write", at=now
-                ),
-                write_schema=(
-                    self.store.applicable(requester, dtd_uri, "write", at=now)
-                    if dtd_uri
-                    else []
-                ),
+                read_instance=read_instance,
+                read_schema=read_schema,
+                write_instance=write_instance,
+                write_schema=write_schema,
                 hierarchy=self.hierarchy,
                 policy=config.build_policy(),
                 open_policy=config.open_policy,
@@ -1650,15 +1572,10 @@ class SecureXMLServer:
         memos accumulate), keyed like cached views and validated
         against the store/document versions they were built against.
         """
-        config = self.policy_for(request.uri)
         now = time.time()
         dtd_uri = self.repository.dtd_uri_of(request.uri)
-        key = (
-            request.uri,
-            self._effective_class(request.requester, request.action),
-            request.action,
-            (config.conflict_policy, config.open_policy, config.relative_paths),
-            self._validity_marker(request.uri, dtd_uri, request.action, now),
+        key = self._class_key(
+            request.requester, request.uri, dtd_uri, request.action, now
         )
         with self._oracle_lock:
             entry = self._oracles.get(key)
@@ -1672,17 +1589,10 @@ class SecureXMLServer:
                     self._oracles.move_to_end(key)
                     return oracle
                 del self._oracles[key]
-        with span("authz.bind"):
-            instance_auths = self.store.applicable(
-                request.requester, request.uri, request.action, at=now
-            )
-            schema_auths = (
-                self.store.applicable(
-                    request.requester, dtd_uri, request.action, at=now
-                )
-                if dtd_uri
-                else []
-            )
+        config = self.policy_for(request.uri)
+        instance_auths, schema_auths = self._bind(
+            request.requester, request.uri, dtd_uri, request.action, now
+        )
         oracle = VisibilityOracle(
             document,
             instance_auths,
@@ -1738,17 +1648,54 @@ class SecureXMLServer:
                     members.add(requester)
         return effective
 
-    def _validity_marker(
-        self, uri: str, dtd_uri: Optional[str], action: str, now: float
+    def _class_key(
+        self,
+        requester: Requester,
+        uri: str,
+        dtd_uri: Optional[str],
+        action: str,
+        now: float,
     ):
-        """The time-windowed applicability bits for both auth lookups."""
-        instance_marker = self.store.validity_marker(uri, action, at=now)
-        schema_marker = (
-            self.store.validity_marker(dtd_uri, action, at=now)
-            if dtd_uri
-            else ()
+        """The key of *requester*'s class on *uri* at *now*: effective
+        class, action, the document's policy knobs, and which
+        time-windowed authorizations on *uri* and its DTD are active.
+
+        Cached views, visibility oracles and write-label states are all
+        keyed by it; :meth:`_invalidate_after_update` relies on that
+        when it matches oracle keys to cache keys.
+        """
+        config = self.policy_for(uri)
+        validity = (
+            self.store.validity_marker(uri, action, at=now),
+            self.store.validity_marker(dtd_uri, action, at=now) if dtd_uri else (),
         )
-        return (instance_marker, schema_marker)
+        return ViewCache.class_key(
+            uri,
+            self._effective_class(requester, action),
+            action,
+            (config.conflict_policy, config.open_policy, config.relative_paths),
+            validity,
+        )
+
+    def _bind(
+        self,
+        requester: Requester,
+        uri: str,
+        dtd_uri: Optional[str],
+        action: str,
+        now: float,
+    ) -> tuple[list[Authorization], list[Authorization]]:
+        """The instance-level (on *uri*) and schema-level (on its DTD's
+        *dtd_uri*) authorizations that apply to *requester*'s *action*
+        at *now*."""
+        with span("authz.bind"):
+            instance_auths, schema_auths = (
+                self.store.applicable(requester, target, action, at=now)
+                if target
+                else []
+                for target in (uri, dtd_uri)
+            )
+        return instance_auths, schema_auths
 
     def _stored(
         self, requester: Requester, uri: str, action: str, kind: str = "serve"
@@ -1779,7 +1726,7 @@ class SecureXMLServer:
 
     def _guard_failure(
         self,
-        request: AccessRequest | QueryRequest,
+        request: AccessRequest | QueryRequest | UpdateRequest,
         exc: ResourceError,
         started: float,
         action: Optional[str] = None,
@@ -1814,7 +1761,9 @@ class SecureXMLServer:
             error_kind=trip_kind,
         )
 
-    def _enforce_history_limit(self, requester: Requester, uri: str) -> None:
+    def _enforce_history_limit(
+        self, requester: Requester, uri: str, kind: str
+    ) -> None:
         limit = self.policy_for(uri).history_limit
         if limit is None:
             return
@@ -1831,7 +1780,7 @@ class SecureXMLServer:
             and record.timestamp >= horizon
         )
         if granted >= limit.max_accesses:
-            self._record_request("serve", "denied")
+            self._record_request(kind, "denied")
             self.audit.record(
                 requester,
                 uri,

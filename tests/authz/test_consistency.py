@@ -7,7 +7,7 @@ answer, and that a suggested repair actually repairs.
 """
 
 from repro.authz.authorization import Authorization
-from repro.authz.consistency import check_write_consistency
+from repro.update.consistency import check_write_consistency
 from repro.subjects.hierarchy import SubjectHierarchy
 from repro.xml.parser import parse_document
 

@@ -339,6 +339,64 @@ class TestCacheUnderConcurrency:
             is None
         )
 
+    def test_mixed_serve_and_stream_misses_compute_once(self):
+        class HeldLeaderCache(ViewCache):
+            """Holds the leader's put until every other request has
+            joined its flight, so all of them share one computation."""
+
+            def __init__(self, followers: int) -> None:
+                super().__init__()
+                self.followers = followers
+                self.joined = threading.Semaphore(0)
+
+            def begin_flight(self, key):
+                lead, flight = super().begin_flight(key)
+                if not lead:
+                    self.joined.release()
+                return lead, flight
+
+            def put(self, key, entry):
+                for _ in range(self.followers):
+                    assert self.joined.acquire(timeout=30)
+                super().put(key, entry)
+
+        server = build_server(sections=400)
+        server.view_cache = HeldLeaderCache(followers=THREADS - 1)
+        request = AccessRequest(Requester(), URI)
+        start = threading.Barrier(THREADS)
+
+        def one(index):
+            start.wait(timeout=30)
+            if index % 2:
+                return server.serve(request), None
+            chunks = []
+            return server.serve_stream(request, sink=chunks.append, chunk_size=512), chunks
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            futures = [pool.submit(one, index) for index in range(THREADS)]
+            results = [future.result(timeout=60) for future in futures]
+
+        responses = [response for response, _ in results]
+        assert all(response.ok for response in responses)
+        assert len({response.xml_text for response in responses}) == 1
+        for response, chunks in results:
+            if chunks is not None:
+                assert "".join(chunks) == response.xml_text
+        assert (
+            server.metrics.value("single_flight_total", outcome="shared")
+            == THREADS - 1
+        )
+        assert (
+            server.metrics.value("single_flight_total", outcome="recomputed")
+            is None
+        )
+        # One view computed, by whichever backend led the flight.
+        computed = sum(
+            server.metrics.histogram("stage_seconds", stage=stage).count
+            for stage in ("label", "stream.pipeline")
+        )
+        assert computed == 1
+
     def test_stats_and_len_stable_under_traffic(self):
         server = build_server()
         stop = threading.Event()

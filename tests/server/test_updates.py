@@ -142,6 +142,31 @@ class TestAllowedUpdates:
         text = served_text(server)
         assert "step1" in text and 'state="done"' in text
 
+    def test_first_update_of_deferred_document_binds_doctype_dtd(self):
+        # The DTD is named only by the DOCTYPE of a deferred document,
+        # so the update learns it from its own parse.
+        s = SecureXMLServer()
+        s.add_user("alice")
+        s.publish_dtd(DTD_URI, TASKS_DTD)
+        s.publish_document(
+            URI, f'<!DOCTYPE tasks SYSTEM "{DTD_URI}">{TASKS_XML}', defer_parse=True
+        )
+        s.grant(
+            Authorization.build(
+                ("alice", "*", "*"),
+                f"{DTD_URI}://task[@owner='alice']",
+                "+",
+                "R",
+                action="write",
+            )
+        )
+        outcome = s.update(
+            UpdateRequest.of(
+                alice(), URI, SetText("//task[@owner='alice']/title", "done")
+            )
+        )
+        assert outcome.applied
+
     def test_outcome_counts(self, server):
         outcome = server.update(
             UpdateRequest.of(

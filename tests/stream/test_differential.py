@@ -9,6 +9,7 @@ view return the same matches.
 
 import pytest
 
+from repro.limits import ResourceLimits
 from repro.server.request import AccessRequest, QueryRequest
 from repro.server.service import PolicyConfig, SecureXMLServer
 from repro.subjects.hierarchy import Requester
@@ -40,6 +41,18 @@ def build_server(document, instance, schema, policy=None):
     )
     for authorization in instance + schema:
         server.grant(authorization)
+    return server
+
+
+def fallback_server():
+    """A server whose policy has a path outside the streamable subset,
+    so ``serve_stream`` falls back to the DOM pipeline."""
+    from repro.authz.authorization import Authorization
+
+    server = SecureXMLServer()
+    server.publish_document(URI, "<a><b>x</b></a>")
+    server.grant(Authorization.build("Public", URI, "+", "R"))
+    server.grant(Authorization.build("Public", f"{URI}://b/..", "+", "R"))
     return server
 
 
@@ -187,6 +200,42 @@ class TestStreamingBehaviour:
             "stream_fallback_total", reason="unsupported-path"
         )
         assert fallback.value >= 1
+
+    def test_fallback_delivers_the_view_to_the_sink(self):
+        server = fallback_server()
+        chunks = []
+        response = server.serve_stream(
+            AccessRequest(requester(), URI), sink=chunks.append, chunk_size=4
+        )
+        assert response.ok and not response.empty
+        assert "".join(chunks) == response.xml_text
+        assert all(len(chunk) <= 4 for chunk in chunks)
+
+    def test_fallback_runs_under_the_requests_own_deadline(self, monkeypatch):
+        armed = []
+        arm = ResourceLimits.deadline
+
+        def counting_arm(limits):
+            armed.append(limits)
+            return arm(limits)
+
+        monkeypatch.setattr(ResourceLimits, "deadline", counting_arm)
+        server = fallback_server()
+        assert server.serve_stream(AccessRequest(requester(), URI)).ok
+        assert server.metrics.value(
+            "stream_fallback_total", reason="unsupported-path"
+        ) == 1
+        assert len(armed) == 1
+
+    def test_fallback_counts_under_serve_stream(self):
+        server = fallback_server()
+        assert server.serve_stream(AccessRequest(requester(), URI)).ok
+        kinds = {
+            metric.labels["kind"]
+            for metric in server.metrics
+            if metric.name == "requests_total"
+        }
+        assert kinds == {"serve_stream"}
 
     def test_stream_metrics_and_spans_are_recorded(self):
         document = synthetic_document(120, uri=URI)
