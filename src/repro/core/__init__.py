@@ -26,7 +26,7 @@ from repro.core.labeling import (
     TreeLabeler,
 )
 from repro.core.labels import EPSILON, MINUS, PLUS, Label, first_def
-from repro.core.processor import ProcessorOutput, SecurityProcessor, StepTimings
+from repro.core.processor import ProcessorOutput, SecurityProcessor
 from repro.core.prune import build_view, prune_in_place
 from repro.core.view import ViewResult, compute_view, compute_view_from_auths
 
@@ -45,7 +45,6 @@ __all__ = [
     "SecurityProcessor",
     "SlotDecision",
     "SlotOrigin",
-    "StepTimings",
     "TreeLabeler",
     "ViewResult",
     "build_view",

@@ -46,6 +46,7 @@ from repro.core.labeling import (
     resolve_slot_sign,
 )
 from repro.core.labels import Label, first_def
+from repro.core.view import resolve_dtd_uri
 from repro.errors import ReproError
 from repro.limits import Deadline, ResourceLimits
 from repro.obs.trace import span
@@ -601,11 +602,7 @@ def _applicable(
     """The requester's instance- and schema-level authorizations."""
     uri = document.uri or ""
     instance = store.applicable(requester, uri, action) if uri else []
-    resolved = (
-        dtd_uri
-        or (document.dtd.uri if document.dtd else None)
-        or document.system_id
-    )
+    resolved = resolve_dtd_uri(document, dtd_uri)
     schema = store.applicable(requester, resolved, action) if resolved else []
     return instance, schema
 

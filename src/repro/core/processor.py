@@ -3,63 +3,38 @@
 "Its execution cycle consists of four basic steps": parsing, tree
 labeling, transformation (pruning) and unparsing.
 :class:`SecurityProcessor` implements that cycle over the substrate
-packages and reports per-step timings, which benchmark C3 uses to show
-where the time goes.
+packages: :func:`~repro.xml.parser.parse_document`, then
+:func:`~repro.core.view.compute_view_from_auths`, then the serializers.
 
-The coarse :class:`StepTimings` predate the tracing layer and remain
-for API stability; under an active :func:`repro.obs.tracing` block the
-same cycle additionally emits structured spans (``parse.xml``,
-``label``, ``prune``, ``dtd.loosen``, ``serialize``) with finer nesting
-— see docs/OBSERVABILITY.md.
+Each step runs under the span the server's pipeline uses for it
+(``parse.xml``, ``label``, ``prune``, ``serialize``; see
+docs/OBSERVABILITY.md). Under an active :func:`repro.obs.tracing`
+block, :attr:`ProcessorOutput.timings` carries the stage totals of the
+spans one call recorded, which benchmark C3 uses to show where the time
+goes. The processor never starts a tracer of its own.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import ConflictPolicy
-from repro.core.labeling import TreeLabeler
-from repro.core.prune import PruneCounts, build_view
-from repro.core.view import ViewResult
-from repro.dtd.loosen import loosen
+from repro.core.view import ViewResult, compute_view_from_auths
 from repro.dtd.model import DTD
 from repro.dtd.serializer import serialize_dtd
 from repro.dtd.validator import validate
 from repro.errors import ValidationError
-from repro.obs.trace import span
+from repro.obs.trace import current_tracer, span
 from repro.subjects.hierarchy import SubjectHierarchy
 from repro.xml.nodes import Document
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
 from repro.xpath.compile import RelativeMode
 
-__all__ = ["ProcessorOutput", "SecurityProcessor", "StepTimings"]
-
-
-@dataclass
-class StepTimings:
-    """Wall-clock seconds spent in each of the four processor steps."""
-
-    parse: float = 0.0
-    label: float = 0.0
-    transform: float = 0.0
-    unparse: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.parse + self.label + self.transform + self.unparse
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "parse": self.parse,
-            "label": self.label,
-            "transform": self.transform,
-            "unparse": self.unparse,
-            "total": self.total,
-        }
+__all__ = ["ProcessorOutput", "SecurityProcessor"]
 
 
 @dataclass
@@ -70,7 +45,22 @@ class ProcessorOutput:
     loosened_dtd: Optional[DTD]
     loosened_dtd_text: Optional[str]
     view: ViewResult
-    timings: StepTimings = field(default_factory=StepTimings)
+    #: Seconds per stage name (``parse.xml``, ``label``, ``prune``,
+    #: ``serialize``, ...) over the spans this call recorded on the
+    #: caller's active tracer; empty when no tracer is active.
+    timings: dict[str, float] = field(default_factory=dict)
+
+
+@contextmanager
+def _recorded_stages() -> Iterator[dict[str, float]]:
+    """Fill the yielded dict with the stage totals of the spans the
+    block records on the active tracer (none active: left empty)."""
+    stages: dict[str, float] = {}
+    tracer = current_tracer()
+    mark = len(tracer.spans) if tracer is not None else 0
+    yield stages
+    if tracer is not None:
+        stages.update(tracer.stage_totals(mark))
 
 
 class SecurityProcessor:
@@ -105,21 +95,20 @@ class SecurityProcessor:
         dtd: Optional[DTD] = None,
     ) -> ProcessorOutput:
         """Run the full four-step cycle on raw document text."""
-        timings = StepTimings()
-
-        # Step 1: parsing (syntax check + compilation to an object tree).
-        started = time.perf_counter()
-        document = parse_document(xml_text, uri=uri)
-        if dtd is not None and document.dtd is None:
-            document.dtd = dtd
-        if self._validate_input and document.dtd is not None:
-            report = validate(document)
-            if not report.valid:
-                raise ValidationError(report.violations)
-        timings.parse = time.perf_counter() - started
-
-        output = self.process_document(document, instance_auths, schema_auths)
-        output.timings.parse = timings.parse
+        with _recorded_stages() as stages:
+            # Step 1: parsing (syntax check + compilation to an object
+            # tree).
+            document = parse_document(xml_text, uri=uri)
+            if dtd is not None and document.dtd is None:
+                document.dtd = dtd
+            if self._validate_input and document.dtd is not None:
+                report = validate(document)
+                if not report.valid:
+                    raise ValidationError(report.violations)
+            output = self.process_document(
+                document, instance_auths, schema_auths
+            )
+        output.timings = stages
         return output
 
     def process_document(
@@ -129,56 +118,23 @@ class SecurityProcessor:
         schema_auths: list[Authorization],
     ) -> ProcessorOutput:
         """Steps 2-4 on an already parsed document."""
-        timings = StepTimings()
-
-        # Step 2: tree labeling.
-        started = time.perf_counter()
-        labeler = TreeLabeler(
-            document,
-            instance_auths,
-            schema_auths,
-            self._hierarchy,
-            policy=self._policy,
-            relative_mode=self._relative_mode,
-        )
-        labeling = labeler.run()
-        timings.label = time.perf_counter() - started
-
-        # Step 3: transformation (pruning), preserving validity w.r.t.
-        # the loosened DTD.
-        started = time.perf_counter()
-        counts = PruneCounts()
-        view_document = build_view(
-            document,
-            labeling.labels,
-            open_policy=self._open_policy,
-            loosen_dtd=True,
-            counts=counts,
-        )
-        timings.transform = time.perf_counter() - started
-
-        # Step 4: unparsing.
-        started = time.perf_counter()
-        with span("serialize"):
-            xml_text = serialize(view_document, doctype=False)
-            loosened = view_document.dtd
-            if loosened is None and document.dtd is not None:
-                loosened = loosen(document.dtd)
-            loosened_text = serialize_dtd(loosened) if loosened is not None else None
-        timings.unparse = time.perf_counter() - started
-
-        view = ViewResult(
-            document=view_document,
-            labels=labeling.labels,
-            instance_auths=list(instance_auths),
-            schema_auths=list(schema_auths),
-            total_nodes=labeling.labeled_nodes,
-            visible_nodes=counts.visible_nodes,
-        )
-        return ProcessorOutput(
-            xml_text=xml_text,
-            loosened_dtd=loosened,
-            loosened_dtd_text=loosened_text,
-            view=view,
-            timings=timings,
-        )
+        with _recorded_stages() as stages:
+            # Steps 2 and 3: tree labeling, then transformation
+            # (pruning), preserving validity w.r.t. the loosened DTD.
+            view = compute_view_from_auths(
+                document,
+                instance_auths,
+                schema_auths,
+                self._hierarchy,
+                policy=self._policy,
+                open_policy=self._open_policy,
+                relative_mode=self._relative_mode,
+            )
+            # Step 4: unparsing.
+            with span("serialize"):
+                xml_text = serialize(view.document, doctype=False)
+                loosened = view.document.dtd
+                loosened_text = (
+                    serialize_dtd(loosened) if loosened is not None else None
+                )
+        return ProcessorOutput(xml_text, loosened, loosened_text, view, stages)

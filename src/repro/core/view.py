@@ -24,7 +24,12 @@ from repro.subjects.hierarchy import Requester, SubjectHierarchy
 from repro.xml.nodes import Document, Node
 from repro.xpath.compile import RelativeMode
 
-__all__ = ["ViewResult", "compute_view", "compute_view_from_auths"]
+__all__ = [
+    "ViewResult",
+    "compute_view",
+    "compute_view_from_auths",
+    "resolve_dtd_uri",
+]
 
 
 @dataclass
@@ -87,8 +92,7 @@ def compute_view(
         The server's authorization set and subject hierarchy.
     dtd_uri:
         The URI the document's DTD is published under (step 2's
-        ``dtd(URI)``); defaults to the attached DTD's ``uri`` or the
-        DOCTYPE SYSTEM identifier.
+        ``dtd(URI)``); defaults as :func:`resolve_dtd_uri` says.
     policy:
         Conflict-resolution policy (default: denials take precedence).
     open_policy:
@@ -110,7 +114,7 @@ def compute_view(
         instance_auths = (
             store.applicable(requester, uri, action, at=at) if uri else []
         )
-        resolved_dtd_uri = _resolve_dtd_uri(document, dtd_uri)
+        resolved_dtd_uri = resolve_dtd_uri(document, dtd_uri)
         schema_auths = (
             store.applicable(requester, resolved_dtd_uri, action, at=at)
             if resolved_dtd_uri
@@ -186,8 +190,18 @@ def compute_view_from_auths(
     )
 
 
-def _resolve_dtd_uri(document: Document, dtd_uri: Optional[str]) -> Optional[str]:
-    if dtd_uri is not None:
+def resolve_dtd_uri(
+    document: Document, dtd_uri: Optional[str] = None
+) -> Optional[str]:
+    """``dtd(URI)`` for *document*: *dtd_uri* when given, else the
+    attached DTD's ``uri``, else the DOCTYPE SYSTEM identifier.
+
+    The one rule for which DTD's schema-level authorizations apply:
+    the repository stores its answer at publish time (and at a deferred
+    document's first parse), and :func:`compute_view` and
+    :mod:`repro.core.explain` apply it to bare documents.
+    """
+    if dtd_uri:
         return dtd_uri
     if document.dtd is not None and document.dtd.uri:
         return document.dtd.uri

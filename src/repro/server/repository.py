@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from repro.core.view import resolve_dtd_uri
 from repro.errors import RepositoryError
 from repro.limits import Deadline, ResourceLimits
 from repro.dtd.model import DTD
@@ -151,7 +152,7 @@ class StoredDocument:
                         self.text, uri=self.uri, limits=limits, deadline=deadline
                     )
                     if self.dtd_uri is None:
-                        self.dtd_uri = tree.system_id
+                        self.dtd_uri = resolve_dtd_uri(tree)
                     if (
                         tree.dtd is None
                         and self.dtd_uri
@@ -287,9 +288,9 @@ class Repository:
         """Store a document (parsed or text) under *uri*.
 
         *dtd_uri* links the document to a published DTD, which defines
-        ``dtd(URI)`` for schema-level authorization lookup. When the
-        document declares a SYSTEM identifier and *dtd_uri* is omitted,
-        the SYSTEM identifier is used.
+        ``dtd(URI)`` for schema-level authorization lookup. When it is
+        omitted, the attached DTD's URI or the SYSTEM identifier is used
+        (:func:`~repro.core.view.resolve_dtd_uri`).
 
         With *defer_parse*, text content is stored without parsing it;
         the parse happens lazily on first access, under whatever limits
@@ -312,7 +313,7 @@ class Repository:
         # Parse and validate with no repository lock held, so a publish,
         # removal or DTD at another URI never waits for this document.
         document = stored.document(limits=limits)
-        stored.dtd_uri = dtd_uri or document.system_id
+        stored.dtd_uri = resolve_dtd_uri(document, dtd_uri)
         if stored.dtd_uri and document.dtd is None:
             document.dtd = self._dtds.get(stored.dtd_uri)
         if validate_on_add and document.dtd is not None:

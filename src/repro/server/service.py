@@ -29,7 +29,7 @@ from repro.authz.store import AuthorizationStore
 from repro.authz.xacl import parse_xacl
 from repro.core.explain import Explanation, explain_from_auths
 from repro.core.processor import SecurityProcessor
-from repro.core.view import ViewResult, compute_view, compute_view_from_auths
+from repro.core.view import ViewResult, compute_view_from_auths
 from repro.errors import (
     DeadlineExceeded,
     LimitExceeded,
@@ -45,7 +45,7 @@ from repro.obs.trace import Tracer, current_tracer, span, stage_totals, tracing
 from repro.rewrite import VisibilityOracle, compile_rewrite
 from repro.server.audit import AuditLog
 from repro.server.cache import CachedView, ViewCache
-from repro.server.repository import Repository
+from repro.server.repository import Repository, StoredDocument
 from repro.server.request import AccessRequest, AccessResponse, QueryRequest
 from repro.update import (
     UpdateDenied,
@@ -351,23 +351,14 @@ class SecureXMLServer:
     ) -> AccessResponse:
         """The one request flow behind :meth:`serve` (*kind* ``serve``,
         the DOM backend) and :meth:`serve_stream` (``serve_stream``,
-        the streaming backend): history check, version snapshot, cache
-        probe and single-flight, the backend on a miss, cache put, and
-        one step for the response, metrics and audit record."""
+        the streaming backend): :meth:`_begin_read`, cache probe and
+        single-flight, the backend on a miss, cache put, and one step
+        for the response, metrics and audit record."""
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
-        self._enforce_history_limit(request.requester, request.uri, kind)
-        started = time.perf_counter()
-        stored = self._stored(request.requester, request.uri, request.action, kind)
-        # Version snapshot for the cache protocol, taken *before* the
-        # tree and the authorizations are read: if a concurrent
-        # update/grant lands in between, the entry we build is labelled
-        # with the pre-mutation versions and therefore immediately
-        # stale (safe), never wrongly fresh.
-        versions = (self.store.version, stored.version)
-        # One clock reading keys the cache and binds the authorizations,
-        # so a key never describes another validity window than its view.
-        now = time.time()
+        started, stored, versions, now = self._begin_read(
+            request, kind, request.action
+        )
         dtd_uri = stored.dtd_uri
         backend = "stream" if kind == "serve_stream" else "dom"
         notes: list[str] = []
@@ -451,17 +442,7 @@ class SecureXMLServer:
                         notes.append("streamed")
                         sink = None  # the writer already delivered it
                     except StreamPathUnsupported as exc:
-                        self.metrics.counter(
-                            "stream_fallback_total", reason="unsupported-path"
-                        ).inc()
-                        self.audit.record(
-                            request.requester,
-                            request.uri,
-                            request.action,
-                            "fallback",
-                            detail=f"stream fallback: {exc}",
-                            backend="stream",
-                        )
+                        self._stream_fallback(request, request.action, exc)
                         backend = "dom"
                 if backend == "dom":
                     view = self._dom_view(
@@ -494,6 +475,27 @@ class SecureXMLServer:
             request, kind, view, started, "; ".join(notes), backend,
             sink, chunk_size,
         )
+
+    def _begin_read(
+        self, request: AccessRequest | QueryRequest, kind: str, action: str
+    ) -> tuple[float, StoredDocument, tuple[int, int], float]:
+        """The prologue of a read (a serve or a query, audited as
+        *action*): the history check, then the start time, the stored
+        document, its version snapshot and the request's one clock
+        reading."""
+        self._enforce_history_limit(request.requester, request.uri, kind, action)
+        started = time.perf_counter()
+        stored = self._stored(request.requester, request.uri, action, kind)
+        # Version snapshot for the cache protocol, taken *before* the
+        # tree and the authorizations are read: if a concurrent
+        # update/grant lands in between, the entry we build is labelled
+        # with the pre-mutation versions and therefore immediately
+        # stale (safe), never wrongly fresh.
+        versions = (self.store.version, stored.version)
+        # One clock reading keys the cache and oracles and binds the
+        # authorizations, so a key never describes another validity
+        # window than its view.
+        return started, stored, versions, time.time()
 
     def _respond(
         self,
@@ -548,25 +550,9 @@ class SecureXMLServer:
         limits: ResourceLimits,
         deadline: Deadline,
     ) -> CachedView:
-        """The DOM backend: parse (a deferred document's first
-        request), bind at *now*, label, prune and serialize. Resource
+        """The DOM backend: :meth:`_view_tree`, serialized. Resource
         guards propagate; *versions* stamp the returned view."""
-        document = stored.document(limits=limits, deadline=deadline)
-        config = self.policy_for(request.uri)
-        instance_auths, schema_auths = self._bind(
-            request.requester, request.uri, stored.dtd_uri, request.action, now
-        )
-        view = compute_view_from_auths(
-            document,
-            instance_auths,
-            schema_auths,
-            self.hierarchy,
-            policy=config.build_policy(),
-            open_policy=config.open_policy,
-            relative_mode=config.relative_paths,
-            limits=limits,
-            deadline=deadline,
-        )
+        view = self._view_tree(request, stored, now, limits, deadline)
         with span("serialize"):
             loosened = view.document.dtd
             return CachedView(
@@ -578,9 +564,37 @@ class SecureXMLServer:
                 *versions,
             )
 
+    def _view_tree(
+        self,
+        request: AccessRequest | QueryRequest,
+        stored,
+        now: float,
+        limits: Optional[ResourceLimits],
+        deadline: Optional[Deadline],
+    ) -> ViewResult:
+        """The DOM backend's view tree: parse (a deferred document's
+        first request), bind at *now*, label and prune. Resource guards
+        propagate."""
+        document = stored.document(limits=limits, deadline=deadline)
+        config = self.policy_for(request.uri)
+        instance_auths, schema_auths = self._bind(
+            request.requester, request.uri, stored.dtd_uri, request.action, now
+        )
+        return compute_view_from_auths(
+            document,
+            instance_auths,
+            schema_auths,
+            self.hierarchy,
+            policy=config.build_policy(),
+            open_policy=config.open_policy,
+            relative_mode=config.relative_paths,
+            limits=limits,
+            deadline=deadline,
+        )
+
     def _stream_view(
         self,
-        request: AccessRequest,
+        request: AccessRequest | QueryRequest,
         stored,
         now: float,
         versions: tuple[int, int],
@@ -697,29 +711,35 @@ class SecureXMLServer:
         """Answer a path-expression query against the requester's view.
 
         The expression is evaluated on the *pruned* view, so results can
-        never mention nodes the requester is not entitled to see. Like
-        :meth:`serve`, the evaluation runs under resource guards (the
-        XPath step budget and the request deadline); a tripped guard
-        comes back as a structured, audited failure. Like :meth:`serve`,
-        ``response.timings`` carries the per-stage breakdown (the whole
-        request appears as ``request.query``).
+        never mention nodes the requester is not entitled to see. A
+        query is a read of that view: it runs :meth:`serve`'s checks —
+        the document's history limit (an answered query counts as one
+        access; a refused one raises
+        :class:`AccessLimitExceeded`), the resource guards (the XPath
+        step budget and the request deadline; a tripped guard comes back
+        as a structured failure, audited under the backend that
+        tripped) — and ``response.timings`` carries the per-stage
+        breakdown (the whole request appears as ``request.query``).
+        Queries do not use the view cache.
 
         With *stream* the view is produced by the streaming pipeline
         (no tree of the stored document is materialized; only the —
         typically much smaller — pruned view is parsed for evaluation),
-        falling back to the DOM pipeline when an authorization path is
-        not streamable. The query result is identical either way.
+        falling back to the DOM pipeline, as :meth:`serve_stream` does,
+        when an authorization path is not streamable. The query result
+        is identical either way.
 
         With *virtual* the view is never materialized at all: the query
         is rewritten into a guarded query over the stored document
         (:mod:`repro.rewrite`) and only the matched subtrees are
         pruned/serialized — same answer bytes, a fraction of the work
         for selective queries. Queries outside the rewritable XPath
-        subset fall back transparently to the materialized path
-        (counted on ``rewrite_fallback_total``); see docs/VIEWS.md.
+        subset fall back transparently to the materialized (or, with
+        *stream*, the streaming) path (counted on
+        ``rewrite_fallback_total``); see docs/VIEWS.md.
         """
         with self._request_scope("query") as scope:
-            response = self._query(request, limits, stream=stream, virtual=virtual)
+            response = self._query(request, limits, stream, virtual)
         response.timings = scope.timings
         return response
 
@@ -727,94 +747,114 @@ class SecureXMLServer:
         self,
         request: QueryRequest,
         limits: Optional[ResourceLimits],
-        stream: bool = False,
-        virtual: bool = False,
+        stream: bool,
+        virtual: bool,
     ) -> AccessResponse:
+        """The query flow: :meth:`_serve`'s prologue
+        (:meth:`_begin_read`, then the deadline check), the backend's
+        selection of the matched nodes together with the function that
+        serializes them, and one step for the response, metrics and
+        audit record."""
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
-        started = time.perf_counter()
-        backend = "dom"
+        action = f"query[{request.xpath}]"
+        started, stored, versions, now = self._begin_read(request, "query", action)
+        rewritten = None
         if virtual:
-            response = self._try_virtual_query(request, limits, deadline, started)
-            if response is not None:
-                return response
-            # Outside the rewritable subset: transparent materialized
-            # (or streaming) fallback below — same answer, slower path.
+            try:
+                with span("rewrite.plan"):
+                    rewritten = compile_rewrite(request.xpath)
+            except RewriteUnsupported as exc:
+                # Outside the rewritable subset: the materialized (or
+                # streaming) backend answers — same bytes, slower path.
+                self._meter(
+                    "counter", "rewrite_fallback_total", {"reason": exc.reason}, 1
+                )
+                self._meter(
+                    "counter", "rewrite_requests_total", {"outcome": "fallback"}, 1
+                )
+        backend = (
+            "virtual" if rewritten is not None else "stream" if stream else "dom"
+        )
         try:
             deadline.check("request")
-            view_document = None
-            if stream:
-                stored = self._stored(
-                    request.requester, request.uri, request.action
+            if rewritten is not None:
+                document = stored.document(limits=limits, deadline=deadline)
+                oracle = self._oracle_for(
+                    request, stored, document, versions, now, limits, deadline
                 )
-                try:
-                    streamed = self._stream_view(
-                        request,
-                        stored,
-                        time.time(),
-                        (self.store.version, stored.version),
-                        limits,
-                        deadline,
-                    )
-                except StreamPathUnsupported:
-                    self.metrics.counter(
-                        "stream_fallback_total", reason="unsupported-path"
-                    ).inc()
-                else:
-                    # An empty view has no root to parse; queries over
-                    # it match nothing (as in the DOM path).
-                    view_document = (
-                        Document()
-                        if streamed.empty
-                        else parse_document(
-                            streamed.xml_text,
-                            uri=request.uri,
-                            limits=limits,
+                nodes = []
+                if oracle.has_visible_root():
+                    with span("rewrite.eval"):
+                        nodes = rewritten.select(
+                            document,
+                            oracle,
+                            max_steps=limits.max_xpath_steps,
                             deadline=deadline,
                         )
+                render = oracle.serialize_match
+                # The view is never computed, so ``visible_nodes`` is
+                # the match count (docs/VIEWS.md).
+                visible_nodes = len(nodes)
+                total_nodes = stored.node_count(document)
+            else:
+                if backend == "stream":
+                    try:
+                        view = self._stream_view(
+                            request, stored, now, versions, limits, deadline
+                        )
+                    except StreamPathUnsupported as exc:
+                        self._stream_fallback(request, action, exc)
+                        backend = "dom"
+                    else:
+                        # An empty view has no root to parse.
+                        view_document = (
+                            Document()
+                            if view.empty
+                            else parse_document(
+                                view.xml_text,
+                                uri=request.uri,
+                                limits=limits,
+                                deadline=deadline,
+                            )
+                        )
+                if backend == "dom":
+                    view = self._view_tree(request, stored, now, limits, deadline)
+                    view_document = view.document
+                nodes = (
+                    select(
+                        request.xpath,
+                        view_document,
+                        max_steps=limits.max_xpath_steps,
+                        deadline=deadline,
                     )
-                    visible_nodes = streamed.visible_nodes
-                    total_nodes = streamed.total_nodes
-                    backend = "stream"
-            if view_document is None:
-                view = self._view_for(
-                    request.requester,
-                    request.uri,
-                    request.action,
-                    limits=limits,
-                    deadline=deadline,
+                    if view_document.root
+                    else []
                 )
-                view_document = view.document
+                render = serialize
                 visible_nodes = view.visible_nodes
                 total_nodes = view.total_nodes
-            nodes = (
-                select(
-                    request.xpath,
-                    view_document,
-                    max_steps=limits.max_xpath_steps,
-                    deadline=deadline,
-                )
-                if view_document.root
-                else []
-            )
         except ResourceError as exc:
+            if rewritten is not None:
+                self._meter(
+                    "counter", "rewrite_requests_total", {"outcome": "error"}, 1
+                )
             return self._guard_failure(
-                request,
-                exc,
-                started,
-                action=f"query[{request.xpath}]",
-                kind="query",
-                backend=backend,
+                request, exc, started, action=action, kind="query", backend=backend
+            )
+        if rewritten is not None:
+            self._meter(
+                "counter", "rewrite_requests_total", {"outcome": "rewritten"}, 1
             )
         with span("serialize"):
-            matches = [serialize(node) for node in nodes]
+            matches = [render(node) for node in nodes]
         elapsed = time.perf_counter() - started
         outcome = "released" if matches else "empty"
         self._record_request("query", outcome, elapsed)
         self.audit.record(
             request.requester,
             request.uri,
-            f"query[{request.xpath}]",
+            action,
             outcome,
             visible_nodes=len(matches),
             total_nodes=total_nodes,
@@ -831,9 +871,35 @@ class SecureXMLServer:
             matches=matches,
         )
 
+    def _stream_fallback(
+        self,
+        request: AccessRequest | QueryRequest,
+        action: str,
+        exc: StreamPathUnsupported,
+    ) -> None:
+        """Count and audit a stream request whose authorization paths
+        do not stream; the caller answers it with the DOM backend."""
+        self.metrics.counter(
+            "stream_fallback_total", reason="unsupported-path"
+        ).inc()
+        self.audit.record(
+            request.requester,
+            request.uri,
+            action,
+            "fallback",
+            detail=f"stream fallback: {exc}",
+            backend="stream",
+        )
+
     def view(self, requester: Requester, uri: str, action: str = "read") -> ViewResult:
-        """The full :class:`ViewResult` (labels included) for one request."""
-        return self._view_for(requester, uri, action)
+        """The full :class:`ViewResult` (labels included) for one
+        request: the DOM backend's view tree, unguarded and unaudited
+        (only a repository failure is audited and counted, under
+        ``requests_total{kind="view"}``)."""
+        stored = self._stored(requester, uri, action, "view")
+        return self._view_tree(
+            AccessRequest(requester, uri, action), stored, time.time(), None, None
+        )
 
     def explain(
         self,
@@ -883,7 +949,7 @@ class SecureXMLServer:
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
         started = time.perf_counter()
-        stored = self._stored(requester, uri, action)
+        stored = self._stored(requester, uri, action, "explain")
         document = stored.document(limits=limits, deadline=deadline)
         config = self.policy_for(uri)
         with span("decision.explain"):
@@ -1274,7 +1340,7 @@ class SecureXMLServer:
         deadline = limits.deadline()
         with self._request_scope("consistency"):
             started = time.perf_counter()
-            stored = self._stored(requester, uri, "consistency")
+            stored = self._stored(requester, uri, "consistency", "consistency")
             document = stored.document(limits=limits, deadline=deadline)
             config = self.policy_for(uri)
             now = time.time()
@@ -1437,153 +1503,32 @@ class SecureXMLServer:
 
     # -- internals ---------------------------------------------------------------
 
-    def _view_for(
-        self,
-        requester: Requester,
-        uri: str,
-        action: str,
-        limits: Optional[ResourceLimits] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> ViewResult:
-        stored = self._stored(requester, uri, action)
-        document = stored.document(limits=limits, deadline=deadline)
-        config = self.policy_for(uri)
-        return compute_view(
-            document,
-            requester,
-            self.store,
-            dtd_uri=self.repository.dtd_uri_of(uri),
-            policy=config.build_policy(),
-            open_policy=config.open_policy,
-            relative_mode=config.relative_paths,
-            action=action,
-            at=time.time(),
-            limits=limits,
-            deadline=deadline,
-        )
-
-    def _try_virtual_query(
-        self,
-        request: QueryRequest,
-        limits: ResourceLimits,
-        deadline: Deadline,
-        started: float,
-    ) -> Optional[AccessResponse]:
-        """Answer a query by rewriting, or ``None`` to fall back.
-
-        ``None`` means the expression is outside the rewritable subset
-        (already metered); anything else — including structured guard
-        failures — is the final response. Syntax errors propagate, as
-        they would from the materialized path.
-        """
-        try:
-            with span("rewrite.plan"):
-                rewritten = compile_rewrite(request.xpath)
-        except RewriteUnsupported as exc:
-            self._meter(
-                "counter", "rewrite_fallback_total", {"reason": exc.reason}, 1
-            )
-            self._meter(
-                "counter", "rewrite_requests_total", {"outcome": "fallback"}, 1
-            )
-            return None
-        stored = self._stored(request.requester, request.uri, request.action)
-        store_version = self.store.version
-        document_version = stored.version
-        try:
-            deadline.check("request")
-            document = stored.document(limits=limits, deadline=deadline)
-            oracle = self._oracle_for(
-                request,
-                document,
-                store_version,
-                document_version,
-                limits,
-                deadline,
-            )
-            if oracle.has_visible_root():
-                with span("rewrite.eval"):
-                    nodes = rewritten.select(
-                        document,
-                        oracle,
-                        max_steps=limits.max_xpath_steps,
-                        deadline=deadline,
-                    )
-            else:
-                # Empty view: nothing can match (mirrors the
-                # materialized path's empty-document short-circuit).
-                nodes = []
-        except ResourceError as exc:
-            self._meter(
-                "counter", "rewrite_requests_total", {"outcome": "error"}, 1
-            )
-            return self._guard_failure(
-                request,
-                exc,
-                started,
-                action=f"query[{request.xpath}]",
-                kind="query",
-                backend="virtual",
-            )
-        with span("serialize"):
-            matches = [oracle.serialize_match(node) for node in nodes]
-        self._meter(
-            "counter", "rewrite_requests_total", {"outcome": "rewritten"}, 1
-        )
-        total_nodes = stored.node_count(document)
-        elapsed = time.perf_counter() - started
-        outcome = "released" if matches else "empty"
-        self._record_request("query", outcome, elapsed)
-        self.audit.record(
-            request.requester,
-            request.uri,
-            f"query[{request.xpath}]",
-            outcome,
-            visible_nodes=len(matches),
-            total_nodes=total_nodes,
-            elapsed_seconds=elapsed,
-            backend="virtual",
-        )
-        return AccessResponse(
-            uri=request.uri,
-            xml_text="\n".join(matches),
-            empty=not matches,
-            # The full view is never computed, so ``visible_nodes`` is
-            # the match count here (the materialized path reports the
-            # view's node count) — documented in docs/VIEWS.md.
-            visible_nodes=len(matches),
-            total_nodes=total_nodes,
-            elapsed_seconds=elapsed,
-            matches=matches,
-        )
-
     def _oracle_for(
         self,
         request: QueryRequest,
+        stored,
         document: Document,
-        store_version: int,
-        document_version: int,
+        versions: tuple[int, int],
+        now: float,
         limits: ResourceLimits,
         deadline: Deadline,
     ) -> VisibilityOracle:
-        """A visibility oracle for this request's effective class.
+        """A visibility oracle for this request's effective class at
+        *now*, bound on a miss.
 
         Oracles are shared across requests of one class (their label
         memos accumulate), keyed like cached views and validated
-        against the store/document versions they were built against.
+        against the store/document *versions* they were built against.
         """
-        now = time.time()
-        dtd_uri = self.repository.dtd_uri_of(request.uri)
         key = self._class_key(
-            request.requester, request.uri, dtd_uri, request.action, now
+            request.requester, request.uri, stored.dtd_uri, request.action, now
         )
         with self._oracle_lock:
             entry = self._oracles.get(key)
             if entry is not None:
                 oracle, entry_store_v, entry_doc_v = entry
                 if (
-                    entry_store_v == store_version
-                    and entry_doc_v == document_version
+                    (entry_store_v, entry_doc_v) == versions
                     and oracle.document is document
                 ):
                     self._oracles.move_to_end(key)
@@ -1591,7 +1536,7 @@ class SecureXMLServer:
                 del self._oracles[key]
         config = self.policy_for(request.uri)
         instance_auths, schema_auths = self._bind(
-            request.requester, request.uri, dtd_uri, request.action, now
+            request.requester, request.uri, stored.dtd_uri, request.action, now
         )
         oracle = VisibilityOracle(
             document,
@@ -1605,7 +1550,7 @@ class SecureXMLServer:
             deadline=deadline,
         )
         with self._oracle_lock:
-            self._oracles[key] = (oracle, store_version, document_version)
+            self._oracles[key] = (oracle, *versions)
             self._oracles.move_to_end(key)
             while len(self._oracles) > 64:
                 self._oracles.popitem(last=False)
@@ -1697,9 +1642,7 @@ class SecureXMLServer:
             )
         return instance_auths, schema_auths
 
-    def _stored(
-        self, requester: Requester, uri: str, action: str, kind: str = "serve"
-    ):
+    def _stored(self, requester: Requester, uri: str, action: str, kind: str):
         """Fetch a stored document, converting any repository failure
         into an audited, typed :class:`~repro.errors.RepositoryError`."""
         try:
@@ -1762,8 +1705,11 @@ class SecureXMLServer:
         )
 
     def _enforce_history_limit(
-        self, requester: Requester, uri: str, kind: str
+        self, requester: Requester, uri: str, kind: str, action: str
     ) -> None:
+        """Refuse a read of *uri* — a serve or a query, audited as
+        *action* — once *requester* has used up the document's history
+        limit, counting the reads the audit log holds."""
         limit = self.policy_for(uri).history_limit
         if limit is None:
             return
@@ -1773,8 +1719,9 @@ class SecureXMLServer:
             for record in self.audit
             if record.uri == uri
             and record.requester == str(requester)
-            and record.action == "read"
-            # Every *served* request counts — an empty view still reveals
+            # A serve is audited as ``read``, a query as ``query[...]``.
+            and (record.action == "read" or record.action.startswith("query["))
+            # Every *answered* read counts — an empty view still reveals
             # that the document exists and costs a view computation.
             and record.outcome in ("released", "empty")
             and record.timestamp >= horizon
@@ -1784,7 +1731,7 @@ class SecureXMLServer:
             self.audit.record(
                 requester,
                 uri,
-                "read",
+                action,
                 "denied",
                 detail=(
                     f"history limit: {limit.max_accesses} accesses per "
