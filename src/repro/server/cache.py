@@ -32,6 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
+from repro.authz.authorization import Authorization
 from repro.obs.trace import span
 from repro.testing.faults import trip
 
@@ -40,13 +41,19 @@ __all__ = ["CachedView", "Flight", "ViewCache"]
 
 @dataclass
 class CachedView:
-    """One memoized serialization of a computed view."""
+    """One memoized serialization of a computed view, with the binding
+    it was computed from: the instance-level and schema-level
+    authorizations the backend bound. An update proves the entry
+    unaffected from that binding
+    (:meth:`ViewCache.invalidate_uri`'s *keep*)."""
 
     xml_text: str
     loosened_dtd_text: Optional[str]
     empty: bool
     visible_nodes: int
     total_nodes: int
+    instance_auths: list[Authorization]
+    schema_auths: list[Authorization]
     store_version: int
     document_version: int
 
@@ -225,11 +232,11 @@ class ViewCache:
     ) -> tuple[int, int]:
         """Subtree-granular invalidation after an update to *uri*.
 
-        *keep* is a predicate over cache keys: ``True`` means the edit
-        provably did not intersect that entry's view (the server proves
-        this with the visibility oracle), so the entry survives. Every
-        other entry for *uri* is dropped. With no *keep*, everything for
-        *uri* is dropped (the pre-PR-8 behaviour).
+        *keep* is a predicate over ``(key, entry)``: ``True`` means the
+        edit provably did not intersect that entry's view (the server
+        proves this with a visibility oracle over the binding the entry
+        recorded), so the entry survives. Every other entry for *uri* is
+        dropped. With no *keep*, everything for *uri* is dropped.
 
         *versions* is ``(proven, current)``: the ``(store_version,
         document_version)`` pair the keep-proof was made against (the
@@ -241,24 +248,25 @@ class ViewCache:
         entries keep their versions.
 
         Runs in two phases so the (possibly slow) keep predicate is
-        never evaluated under the cache lock: snapshot the URI's keys,
-        decide outside the lock, re-apply under the lock checking each
-        entry is still present. An entry raced in between the phases
-        for a *kept* key is re-stamped too — safe, because the keep
-        decision proved the view bytes are identical across the edit
-        (and only if it was built at the proven versions).
+        never evaluated under the cache lock: snapshot the URI's
+        entries, decide outside the lock, re-apply under the lock
+        checking each key is still present. An entry raced in between
+        the phases for a *kept* key is re-stamped too — safe, because a
+        key names one class, and the keep decision proved that class's
+        view bytes identical across the edit (and only if it was built
+        at the proven versions).
 
         Returns ``(kept, dropped)``.
         """
         with self._lock:
             snapshot = [
-                key
-                for key in self._entries
+                (key, entry)
+                for key, entry in self._entries.items()
                 if isinstance(key, tuple) and key and key[0] == uri
             ]
         decisions = [
-            (key, bool(keep(key)) if keep is not None else False)
-            for key in snapshot
+            (key, keep is not None and bool(keep(key, entry)))
+            for key, entry in snapshot
         ]
         kept = dropped = 0
         with self._lock:

@@ -9,6 +9,9 @@ Invariants under random operation batches:
    applied update validates after it.
 3. **Confinement** — an applied update never changes any node outside
    the requester's write entitlement (checked with unique tokens).
+4. **Cache soundness** — after an update, every cached class's view
+   (kept or recomputed) equals an uncached server's view of the
+   committed document under the same grants.
 """
 
 import random
@@ -18,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.authz.authorization import Authorization
 from repro.dtd.validator import validate
 from repro.errors import ReproError
-from repro.server.request import AccessRequest
+from repro.server.cache import ViewCache
+from repro.server.request import AccessRequest, QueryRequest
 from repro.server.service import SecureXMLServer
 from repro.subjects.hierarchy import Requester
 from repro.update import (
@@ -28,6 +32,7 @@ from repro.update import (
     SetText,
     UpdateRequest,
 )
+from repro.xml.serializer import serialize
 
 URI = "http://x/board.xml"
 DTD_URI = "http://x/board.dtd"
@@ -180,3 +185,61 @@ class TestUpdateInvariants:
             except ReproError:
                 pass
         assert served(server) == before
+
+
+#: One read class per reader: everything, bob's cards, tags only.
+READ_PATHS = {"ann": "", "ben": "://card[@owner='bob']", "tia": "://tag"}
+
+
+def build_reading_server(text: str, view_cache=None) -> SecureXMLServer:
+    server = SecureXMLServer(view_cache=view_cache)
+    server.add_user("alice")
+    server.publish_dtd(DTD_URI, BOARD_DTD)
+    server.publish_document(URI, text, dtd_uri=DTD_URI)
+    for reader, path in READ_PATHS.items():
+        server.add_user(reader)
+        server.grant(Authorization.build((reader, "*", "*"), URI + path, "+", "R"))
+    server.grant(
+        Authorization.build(
+            ("alice", "*", "*"), f"{URI}://card[@owner='alice']", "+", "R",
+            action="write",
+        )
+    )
+    server.grant(
+        Authorization.build(
+            ("alice", "*", "*"), f"{URI}://board", "+", "L", action="write"
+        )
+    )
+    return server
+
+
+class TestCacheSoundness:
+    @given(st.integers(0, 30), operations)
+    @settings(max_examples=60, deadline=None)
+    def test_cached_views_equal_uncached_views_after_update(self, seed, ops):
+        server = build_reading_server(build_board(seed), ViewCache())
+        readers = [Requester(name, "3.3.3.3", "r.x") for name in READ_PATHS]
+        for reader in readers:
+            server.serve(AccessRequest(reader, URI))
+        # A live oracle for one class: it is proven with that oracle,
+        # the others from the binding their cached views recorded.
+        cards = QueryRequest(readers[1], URI, "//card")
+        server.query(cards, virtual=True)
+        alice = Requester("alice", "1.1.1.1", "a.x")
+        try:
+            outcome = server.update(UpdateRequest(alice, URI, tuple(ops)))
+        except ReproError:
+            outcome = None
+        if outcome is not None:
+            assert outcome.applied
+            assert outcome.cache_kept + outcome.cache_dropped == len(readers)
+        uncached = build_reading_server(
+            serialize(server.repository.document(URI), doctype=False)
+        )
+        for reader in readers:
+            request = AccessRequest(reader, URI)
+            assert server.serve(request).xml_text == uncached.serve(request).xml_text
+        assert (
+            server.query(cards, virtual=True).matches
+            == uncached.query(cards, virtual=True).matches
+        )

@@ -99,7 +99,7 @@ class TestViewCacheUnit:
         from repro.server.cache import CachedView
 
         def entry():
-            return CachedView("<x/>", None, False, 1, 1, 0, 0)
+            return CachedView("<x/>", None, False, 1, 1, [], [], 0, 0)
 
         cache.put("a", entry())
         cache.put("b", entry())
@@ -113,7 +113,7 @@ class TestViewCacheUnit:
         from repro.server.cache import CachedView
 
         cache = ViewCache()
-        cache.put("k", CachedView("<x/>", None, False, 1, 1, store_version=5, document_version=2))
+        cache.put("k", CachedView("<x/>", None, False, 1, 1, [], [], store_version=5, document_version=2))
         assert cache.get("k", 5, 2) is not None
         assert cache.get("k", 6, 2) is None  # store changed; entry dropped
         assert cache.get("k", 5, 2) is None
@@ -123,7 +123,7 @@ class TestViewCacheUnit:
 
         cache = ViewCache()
         assert cache.hit_rate == 0.0
-        cache.put("k", CachedView("<x/>", None, False, 1, 1, 0, 0))
+        cache.put("k", CachedView("<x/>", None, False, 1, 1, [], [], 0, 0))
         cache.get("k", 0, 0)
         cache.get("missing", 0, 0)
         assert cache.hit_rate == pytest.approx(0.5)
@@ -136,7 +136,7 @@ class TestViewCacheUnit:
         from repro.server.cache import CachedView
 
         cache = ViewCache()
-        cache.put("k", CachedView("<x/>", None, False, 1, 1, 0, 0))
+        cache.put("k", CachedView("<x/>", None, False, 1, 1, [], [], 0, 0))
         cache.clear()
         assert len(cache) == 0
 
@@ -149,7 +149,7 @@ class TestInvalidateUri:
         from repro.server.cache import CachedView
 
         return CachedView(
-            "<x/>", None, False, 1, 1, store_version, document_version
+            "<x/>", None, False, 1, 1, [], [], store_version, document_version
         )
 
     def test_without_keep_drops_every_entry_for_the_uri(self):
@@ -167,7 +167,7 @@ class TestInvalidateUri:
         cache.put(("u", "affected"), self.entry(store_version=3, document_version=7))
         kept, dropped = cache.invalidate_uri(
             "u",
-            keep=lambda key: key[1] == "disjoint",
+            keep=lambda key, entry: key[1] == "disjoint",
             versions=((3, 7), (3, 8)),
         )
         assert (kept, dropped) == (1, 1)
@@ -175,12 +175,29 @@ class TestInvalidateUri:
         assert cache.get(("u", "disjoint"), 3, 8) is not None
         assert cache.get(("u", "affected"), 3, 8) is None
 
+    def test_keep_decides_from_the_entry_it_is_shown(self):
+        from repro.server.cache import CachedView
+
+        cache = ViewCache()
+        for binding in ("proven", "unproven"):
+            cache.put(
+                ("u", binding),
+                CachedView("<x/>", None, False, 1, 1, [binding], [], 3, 7),
+            )
+        kept, dropped = cache.invalidate_uri(
+            "u",
+            keep=lambda key, entry: entry.instance_auths == ["proven"],
+            versions=((3, 7), (3, 8)),
+        )
+        assert (kept, dropped) == (1, 1)
+        assert cache.get(("u", "proven"), 3, 8).instance_auths == ["proven"]
+
     def test_stats_distinguish_partial_invalidations(self):
         cache = ViewCache()
         cache.put(("u", "a"), self.entry())
         cache.put(("u", "b"), self.entry())
         cache.put(("u", "c"), self.entry())
-        cache.invalidate_uri("u", keep=lambda key: key[1] != "b")
+        cache.invalidate_uri("u", keep=lambda key, entry: key[1] != "b")
         stats = cache.stats()
         assert stats["invalidated"] == 1
         assert stats["revalidated"] == 2

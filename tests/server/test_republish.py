@@ -184,7 +184,9 @@ class TestRemovalWaitsOutsideTheRepositoryLock:
 class TestRestampNeedsTheProvenVersions:
     @staticmethod
     def entry(store_version, document_version):
-        return CachedView("<x/>", None, False, 1, 1, store_version, document_version)
+        return CachedView(
+            "<x/>", None, False, 1, 1, [], [], store_version, document_version
+        )
 
     def test_kept_entry_at_other_versions_is_dropped(self):
         cache = ViewCache()
@@ -193,7 +195,7 @@ class TestRestampNeedsTheProvenVersions:
         cache.put(("u", "older-store"), self.entry(2, 7))
         kept, dropped = cache.invalidate_uri(
             "u",
-            keep=lambda key: True,
+            keep=lambda key, entry: True,
             versions=((3, 7), (3, 8)),
         )
         assert (kept, dropped) == (1, 2)
