@@ -11,10 +11,11 @@ are orthogonal filters layered on top of subject applicability:
   authentication time, e.g. ``role=physician``); all clauses of an
   authorization must be satisfied (conjunction, like the paper's XPath
   conditions);
-- :class:`HistoryLimit` — at most N granted accesses per requester per
-  document within a sliding window; enforced by the server against its
-  audit log (history lives server-side, exactly where the paper's
-  architecture keeps all state).
+- :class:`HistoryLimit` — at most N answered reads per requester per
+  document within a sliding window; enforced by the server against a
+  ledger of each requester's latest reads of the document, kept from
+  the moment the limit is set (history lives server-side, exactly where
+  the paper's architecture keeps all state).
 
 All three default to "unrestricted" so the base model is unchanged.
 """

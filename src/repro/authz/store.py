@@ -40,8 +40,17 @@ class AuthorizationStore:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on every mutation (cache guard)."""
-        return self._version
+        """Monotonic counter bumped on every mutation of the store or of
+        its :attr:`hierarchy`'s directory (cache guard).
+
+        Cached views, visibility oracles and write-label states are
+        validated by this version, and a directory change alters views
+        without touching the store: conflict resolution's
+        most-specific-subject filter reads the directory's group order.
+        Both counters only grow, so their sum changes on every mutation
+        of either.
+        """
+        return self._version + self.hierarchy.directory.version
 
     def add(self, authorization: Authorization) -> Authorization:
         """Register one authorization."""

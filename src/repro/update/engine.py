@@ -63,6 +63,7 @@ from repro.xml.nodes import Document, Element, Node, Text
 from repro.xml.parser import parse_fragment
 from repro.xml.traversal import node_path, preorder
 from repro.xpath.compile import RelativeMode, compile_xpath
+from repro.xpath.evaluator import select
 
 __all__ = ["UpdateEngine", "UpdateResult"]
 
@@ -375,11 +376,16 @@ class UpdateEngine:
         max_steps: Optional[int],
         deadline: Optional[Deadline],
     ) -> list[Element]:
-        compiled = compile_xpath(target, self._relative_mode)
-        # Earlier operations in the batch may have mutated `working`; a
-        # cached node-set for the same root would be stale.
-        compiled.invalidate()
-        nodes = compiled.select(working, max_steps=max_steps, deadline=deadline)
+        # Evaluated past the compiled path's node-set memo: earlier
+        # operations in the batch may have mutated `working`, and the
+        # memo, shared process-wide by source string, would pin this
+        # clone once it becomes the committed tree.
+        nodes = select(
+            compile_xpath(target, self._relative_mode).ast,
+            working,
+            max_steps=max_steps,
+            deadline=deadline,
+        )
         elements: list[Element] = []
         for node in nodes:
             if not isinstance(node, Element):

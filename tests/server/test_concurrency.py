@@ -10,7 +10,8 @@ single :class:`SecureXMLServer` serves parallel mixed traffic with
 - no lost metric increments and exactly one instance per metric name,
 - an audit ring whose length equals the request count,
 - tracer spans that never leak across threads (ContextVar isolation),
-- an atomic fail-N-times countdown in the fault injector, and
+- an atomic fail-N-times countdown in the fault injector,
+- a history-limit ledger that loses no answered read, and
 - a durable audit sink that neither loses nor duplicates records while
   rotating under concurrent writers.
 """
@@ -18,12 +19,14 @@ single :class:`SecureXMLServer` serves parallel mixed traffic with
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.authz.authorization import Authorization
+from repro.authz.restrictions import HistoryLimit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, current_tracer, tracing
 from repro.server.audit import AuditLog
@@ -37,7 +40,11 @@ from repro.server.concurrent import (
     serve_many,
 )
 from repro.server.request import AccessRequest, QueryRequest
-from repro.server.service import SecureXMLServer
+from repro.server.service import (
+    AccessLimitExceeded,
+    PolicyConfig,
+    SecureXMLServer,
+)
 from repro.subjects.hierarchy import Requester
 from repro.testing.faults import FAULTS, FaultInjector, InjectedFault
 from repro.update import SetText, UpdateRequest
@@ -545,6 +552,30 @@ class TestAuditUnderConcurrency:
         assert response.ok
         # Counted on the *server's* registry, not only process-wide.
         assert server.metrics.value("audit_sink_errors_total") == 1
+
+
+class TestHistoryLedgerUnderConcurrency:
+    def test_no_answered_read_is_lost(self):
+        server = build_server()
+        reads = THREADS * 25
+        server.set_policy(
+            NOTES_URI, PolicyConfig(history_limit=HistoryLimit(reads, 3600))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = serve_many(
+                server,
+                [AccessRequest(alice(), NOTES_URI)] * reads,
+                max_workers=THREADS,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        # No check saw the limit used up before the last read was
+        # answered; a lost ledger append would leave one read over.
+        assert all(o.ok for o in outcomes)
+        with pytest.raises(AccessLimitExceeded):
+            server.serve(AccessRequest(alice(), NOTES_URI))
 
 
 class TestTracerIsolation:

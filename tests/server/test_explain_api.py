@@ -6,6 +6,8 @@ import pytest
 
 from repro.authz.authorization import Authorization
 from repro.core.explain import Explanation
+from repro.errors import DeadlineExceeded
+from repro.limits import ResourceLimits
 from repro.server.service import SecureXMLServer
 from repro.subjects.hierarchy import Requester
 
@@ -86,3 +88,30 @@ class TestExplainEndpoint:
         with pytest.raises(RepositoryError):
             server.explain(alice(), "http://x/nope.xml")
         assert server.audit.tail(1)[0].outcome == "error"
+
+
+class TestTrippedGuard:
+    """A tripped guard is counted and audited as serve's are, then
+    raised."""
+
+    @pytest.mark.parametrize("extra_path", [None, "//note[1]"])
+    @pytest.mark.parametrize(
+        "xpath, action", [(None, "explain"), ("//secret", "explain[//secret]")]
+    )
+    def test_deadline_trip_is_counted_and_audited(
+        self, server, extra_path, xpath, action
+    ):
+        if extra_path is not None:
+            # Outside the exact subset: binds through the evaluator.
+            server.grant(Authorization.build("Public", f"{URI}:{extra_path}", "+", "R"))
+        with pytest.raises(DeadlineExceeded):
+            server.explain(
+                alice(), URI, xpath=xpath, limits=ResourceLimits(deadline_seconds=0.0)
+            )
+        metrics = server.metrics
+        assert metrics.value("requests_total", kind="explain", outcome="error") == 1
+        assert metrics.value("guard_trips_total", kind="deadline-exceeded") == 1
+        assert metrics.value("explain_requests_total") is None
+        record = server.audit.tail(1)[0]
+        assert (record.action, record.outcome) == (action, "error")
+        assert record.detail.startswith("deadline-exceeded: ")

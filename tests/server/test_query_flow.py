@@ -16,6 +16,7 @@ from repro.authz.restrictions import HistoryLimit
 from repro.core.view import compute_view
 from repro.errors import RepositoryError
 from repro.limits import ResourceLimits
+from repro.server.audit import AuditLog
 from repro.server.request import AccessRequest, QueryRequest
 from repro.server.service import AccessLimitExceeded, PolicyConfig, SecureXMLServer
 from repro.subjects.hierarchy import Requester
@@ -80,6 +81,50 @@ class TestHistoryLimit:
             server.query(request)
         record = server.audit.tail(1)[0]
         assert (record.action, record.outcome) == ("query[/*]", "denied")
+
+    def test_other_traffic_does_not_reset_the_limit(self):
+        server = SecureXMLServer(audit=AuditLog(capacity=8))
+        server.publish_document(
+            URI, DOCUMENT, policy=PolicyConfig(history_limit=HistoryLimit(2, 3600))
+        )
+        other = "http://x/other.xml"
+        server.publish_document(other, DOCUMENT)
+        for uri in (URI, other):
+            server.grant(Authorization.build("Public", f"{uri}://x", "+", "R"))
+        request = AccessRequest(reader(), URI)
+        for _ in range(2):
+            assert server.serve(request).ok
+        with pytest.raises(AccessLimitExceeded):
+            server.serve(request)
+        # Eight other requesters push every record of the reader's
+        # reads out of the audit ring.
+        for index in range(8):
+            visitor = Requester(f"visitor{index}", "8.8.8.8", "v.x")
+            assert server.serve(AccessRequest(visitor, other)).ok
+        assert all(record.uri == other for record in server.audit)
+        with pytest.raises(AccessLimitExceeded):
+            server.serve(request)
+        with pytest.raises(AccessLimitExceeded):
+            server.query(QueryRequest(reader(), URI, "/*"))
+
+    def test_the_ledger_sweep_drops_only_expired_reads(self):
+        server = limited_server(1)
+        readers = [Requester(f"r{index}", "7.7.7.7", "r.x") for index in range(1100)]
+        for requester in readers:
+            assert server.serve(AccessRequest(requester, URI)).ok
+        # More ledgers than the first sweep's threshold, all inside the
+        # window: the sweep kept every one of them.
+        for requester in readers:
+            with pytest.raises(AccessLimitExceeded):
+                server.serve(AccessRequest(requester, URI))
+        server.set_policy(
+            URI, PolicyConfig(history_limit=HistoryLimit(1, 1e-6))
+        )
+        for index in range(1100):
+            requester = Requester(f"s{index}", "7.7.7.7", "s.x")
+            assert server.serve(AccessRequest(requester, URI)).ok
+        # Past the window, a later sweep dropped the expired ledgers.
+        assert len(server._history) < len(readers)
 
     def test_a_tripped_query_does_not_count(self):
         server = limited_server(1)

@@ -5,7 +5,8 @@ them computed answers the other as a cache hit, an update keeps or
 drops it by the same proof, and a deferred document's first request
 does not cache a view under a key that lacks its DTD's validity marker.
 A history-limit denial is counted under the entry point that was
-called. Cross-backend byte comparisons stay on uncached servers
+called. A directory change makes cached views and shared oracles
+stale, as a grant does. Cross-backend byte comparisons stay on uncached servers
 (``tests/stream/test_differential.py``); here the two entry points are
 compared through one cache.
 """
@@ -15,7 +16,7 @@ import pytest
 from repro.authz.authorization import Authorization
 from repro.authz.restrictions import HistoryLimit, ValidityWindow
 from repro.server.cache import ViewCache
-from repro.server.request import AccessRequest
+from repro.server.request import AccessRequest, QueryRequest
 from repro.server.service import AccessLimitExceeded, PolicyConfig, SecureXMLServer
 from repro.subjects.hierarchy import Requester
 from repro.update import SetText, UpdateRequest
@@ -170,3 +171,62 @@ class TestHistoryLimit:
         metrics = server.metrics
         assert metrics.value("requests_total", kind="serve_stream", outcome="denied") == 1
         assert metrics.value("requests_total", kind="serve", outcome="denied") is None
+
+
+class TestDirectoryChange:
+    """bob is in ``staff`` and ``probation``, whose grants on ``secret``
+    conflict. Nesting one group in the other makes it the more specific
+    subject, which decides ``secret`` without changing bob's groups."""
+
+    SECRET_URI = "http://x/secret.xml"
+
+    def build(self, conflict_policy: str) -> SecureXMLServer:
+        server = SecureXMLServer(view_cache=ViewCache())
+        server.add_group("staff")
+        server.add_group("probation")
+        server.add_user("bob", groups=["staff", "probation"])
+        server.publish_document(
+            self.SECRET_URI,
+            "<doc><open>o</open><secret>s</secret></doc>",
+            policy=PolicyConfig(conflict_policy=conflict_policy),
+        )
+        uri = self.SECRET_URI
+        server.grant(Authorization.build("Public", f"{uri}:/doc", "+", "R"))
+        server.grant(Authorization.build("staff", f"{uri}:/doc/secret", "+", "R"))
+        server.grant(
+            Authorization.build("probation", f"{uri}:/doc/secret", "-", "R")
+        )
+        return server
+
+    @staticmethod
+    def shows_secret(server: SecureXMLServer, entry: str) -> bool:
+        uri = TestDirectoryChange.SECRET_URI
+        requester = Requester("bob", "3.3.3.3", "pc.x")
+        if entry == "query":
+            response = server.query(
+                QueryRequest(requester, uri, "//secret"), virtual=True
+            )
+        else:
+            response = getattr(server, entry)(AccessRequest(requester, uri))
+        return "<secret>" in response.xml_text
+
+    @pytest.mark.parametrize("entry", ["serve", "serve_stream", "query"])
+    @pytest.mark.parametrize(
+        "conflict_policy, group, member, shown_before",
+        [
+            # probation nested in staff: its denial is most specific.
+            ("permissions-take-precedence", "staff", "probation", True),
+            # staff nested in probation: its permission is most specific.
+            ("denials-take-precedence", "probation", "staff", False),
+        ],
+    )
+    def test_answers_like_a_fresh_server(
+        self, entry, conflict_policy, group, member, shown_before
+    ):
+        server = self.build(conflict_policy)
+        assert self.shows_secret(server, entry) is shown_before
+        server.directory.add_member(group, member)
+        fresh = self.build(conflict_policy)
+        fresh.directory.add_member(group, member)
+        assert self.shows_secret(fresh, entry) is not shown_before
+        assert self.shows_secret(server, entry) is not shown_before

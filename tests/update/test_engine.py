@@ -6,6 +6,9 @@ facade composes — ``clone_with_map``, ``ReplaceSubtree``, incremental
 relabel bookkeeping on :class:`UpdateResult` and write provenance.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.authz.authorization import Authorization, Sign
@@ -278,3 +281,21 @@ class TestWriteProvenance:
         assert outcome.applied
         assert expected and all(grants for _, grants in expected)
         assert list(outcome.admitted) == expected
+
+
+class TestCommittedTreeIsNotPinned:
+    def test_dropped_result_frees_its_document(self, server):
+        document = server.repository.document(URI)
+        auths = server.store.applicable(alice(), URI, "write")
+        engine = UpdateEngine(SubjectHierarchy())
+        # A target path no authorization shares: only the target
+        # selection could hold the working clone.
+        request = UpdateRequest.of(
+            alice(), URI, SetAttribute("/tasks/task[1]", "state", "done")
+        )
+        result = engine.apply_full(document, request, auths, [])
+        assert result.outcome.applied
+        committed = weakref.ref(result.document)
+        del result
+        gc.collect()
+        assert committed() is None
