@@ -14,10 +14,33 @@ positions to the frozen seed per-character reader
 (``tests/stream/_seed_reader.py``). A syntax error reports the line and
 column where the failing construct starts.
 
-The hot loop is *bulk-scanning*: instead of stepping character by
-character, the tokenizer jumps straight to the next construct boundary
-with ``str.find`` (``<``, ``>``, ``]]>``, ``-->``, ``?>``) and
-precompiled regexes (XML names, invalid characters), and it consumes
+Inside the root element a *fast path* (:meth:`StreamReader._read_fast`)
+takes the plain constructs that make up most documents, each matched
+whole by one precompiled pattern:
+
+- a start tag whose attribute values hold no ``&``, ``<``, tab or
+  newline, so none needs normalizing or resolving; its attribute pairs
+  come from one ``findall`` over the matched tag;
+- an end tag that closes the open element;
+- a text run of valid XML characters without ``&`` or ``]`` that a
+  ``<`` ends inside the buffer.
+
+A tight loop turns each match into its events, counts it toward the
+deadline stride, and brings line and column up to date once per run
+(or before the depth guard reports them). Everything else falls back
+to the per-construct code, which is the only path that reports errors
+and resolves references: the prolog, the epilog and the root start
+tag; comments, PIs and CDATA; any reference, ``]`` or invalid
+character in text; a tab or newline in an attribute value; a duplicate
+attribute name (before the ``on_start_tag`` hook fires); a mismatched
+end tag; and a construct the end of the buffer cuts. So error messages
+and positions, the hold-back and the CRLF carry are the per-construct
+code's.
+
+The per-construct code is *bulk-scanning*: instead of stepping
+character by character, it jumps straight to the next construct
+boundary with ``str.find`` (``<``, ``>``, ``]]>``, ``-->``, ``?>``) and
+precompiled regexes (XML names, invalid characters). Both paths consume
 input by advancing an offset into the buffer rather than re-slicing the
 string per construct. Each ``feed`` compacts the consumed prefix away
 once, so the retained memory is still only the unconsumed tail.
@@ -85,6 +108,32 @@ _DEADLINE_STRIDE = 256
 #: brackets track the internal subset, '>' may end the declaration.
 _DOCTYPE_SCAN = re.compile(r"[\"'\[\]>]")
 
+# -- the fast path's patterns: one per content construct ---------------------
+
+#: Production ``S``: the four XML whitespace characters (``\s`` matches
+#: more).
+_S = "[ \t\r\n]"
+_NAME = NAME_RE.pattern
+#: A quoted attribute value that needs neither normalizing (no tab or
+#: newline) nor resolving (no '&'), and holds no '<'.
+_PLAIN_VALUE = "\"[^\"<&\t\n]*\"|'[^'<&\t\n]*'"
+#: One attribute with its leading whitespace; groups: name, quoted value.
+_FAST_ATTRIBUTE = re.compile(f"{_S}+({_NAME}){_S}*={_S}*({_PLAIN_VALUE})")
+#: A whole start tag whose attribute values are all plain; groups: name,
+#: the attributes, and '/' when the tag is empty.
+_FAST_START_TAG = re.compile(
+    f"<({_NAME})((?:{_S}+{_NAME}{_S}*={_S}*(?:{_PLAIN_VALUE}))*){_S}*(/?)>"
+)
+#: A whole end tag; group: name.
+_FAST_END_TAG = re.compile(f"</({_NAME}){_S}*>")
+#: A text run of valid XML characters other than '&', '<' and ']' (no
+#: reference to resolve, no ']]>' to refuse), ended by a '<' in the
+#: buffer.
+_FAST_TEXT = re.compile(
+    r"[\t\n\r\x20-\x25\x27-\x3b\x3d-\x5c\x5e-\ud7ff\ue000-\ufffd"
+    r"\U00010000-\U0010ffff]+(?=<)"
+)
+
 
 class EventSink(Protocol):
     """Where :meth:`StreamReader.feed` puts events: a list, or a
@@ -102,8 +151,10 @@ class StreamReader:
         deadline: Optional[Deadline] = None,
         on_start_tag: Optional[Callable[[], None]] = None,
     ) -> None:
-        """*on_start_tag*, if given, is called as soon as a start tag's
-        name is read, before the rest of the tag is checked.
+        """*on_start_tag*, if given, is called once for every start tag,
+        before its event: as soon as its name is read, before the rest
+        of the tag is checked (the fast path calls it once the whole
+        tag has matched, when nothing is left to check).
         :class:`~repro.stream.builder.DocumentBuilder` checks its node
         budget there, so a document over that budget is refused at the
         first element past it even when that element's tag is damaged.
@@ -232,7 +283,11 @@ class StreamReader:
     # -- pump loop ----------------------------------------------------------
 
     def _pump(self, events: EventSink, at_eof: bool) -> None:
-        while self._step(events, at_eof):
+        while True:
+            if self._state == _CONTENT:
+                self._read_fast(events)
+            if not self._step(events, at_eof):
+                return
             self._events += 1
             if (
                 self._deadline is not None
@@ -482,6 +537,76 @@ class StreamReader:
         return dtd
 
     # -- content ------------------------------------------------------------
+
+    def _read_fast(self, events: EventSink) -> None:
+        """Emit the run of plain constructs at ``pos``, each matched whole
+        by one of the fast path's patterns: a start tag with plain
+        attribute values and no duplicate name, the end tag of the open
+        element, a text run without '&' or ']' that a '<' ends.
+
+        Stops at anything else, which :meth:`_step_content` then reads.
+        Each construct counts as one event for the deadline stride, as
+        in :meth:`_pump`; line and column are brought up to date once,
+        at the end of the run, or before the depth guard reports them.
+        """
+        buf = self._buf
+        pos = self._pos
+        if buf.startswith(("<!", "<?"), pos):
+            return  # a comment, a PI or a CDATA section
+        n = len(buf)
+        stack = self._stack
+        append = events.append
+        on_start_tag = self._on_start_tag
+        deadline = self._deadline
+        limits = self._limits
+        max_depth = limits.max_tree_depth if limits is not None else None
+        new_segment = not self._segment_open
+        count = self._events
+        while pos < n:
+            if buf[pos] != "<":
+                match = _FAST_TEXT.match(buf, pos)
+                if match is None:
+                    break
+                append(Characters(match.group(), False, new_segment))
+            elif buf.startswith("/", pos + 1):
+                match = _FAST_END_TAG.match(buf, pos)
+                if match is None or match.group(1) != stack[-1]:
+                    break
+                stack.pop()
+                append(EndElement(match.group(1)))
+            else:
+                match = _FAST_START_TAG.match(buf, pos)
+                if match is None:
+                    break
+                name, body, empty = match.groups()
+                attributes = {}
+                if body:
+                    pairs = _FAST_ATTRIBUTE.findall(body)
+                    attributes = {key: value[1:-1] for key, value in pairs}
+                    if len(attributes) < len(pairs):
+                        break  # a duplicate name, which the per-construct code refuses
+                if on_start_tag is not None:
+                    on_start_tag()
+                append(StartElement(name, attributes))
+                if empty:
+                    append(EndElement(name))
+                else:
+                    stack.append(name)
+                    if max_depth is not None and len(stack) > max_depth:
+                        self._consume(match.end() - self._pos)
+                        self._check_depth()
+            pos = match.end()
+            new_segment = True
+            count += 1
+            if deadline is not None and count % _DEADLINE_STRIDE == 0:
+                deadline.check("stream parse")
+            if not stack:
+                self._state = _EPILOG
+                break
+        if count != self._events:
+            self._events = count
+            self._segment_open = False
+            self._consume(pos - self._pos)
 
     def _step_content(self, events: EventSink, at_eof: bool) -> bool:
         buf = self._buf
