@@ -20,7 +20,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.authz.authorization import Authorization
 from repro.authz.conflict import ConflictPolicy, policy_by_name
@@ -79,8 +79,11 @@ class PolicyConfig:
     ``history_limit`` enforces the paper's future-work "history-based
     restrictions": at most N answered reads (serves, streams and
     queries) per requester within a sliding window, counted in a
-    per-server ledger. Only reads answered while the document has a
-    limit count.
+    per-server ledger. Each read is admitted by reserving a slot
+    before its view is computed, so concurrent reads are admitted up
+    to the limit and no further; a read that is not answered gives its
+    slot back. Only reads answered while the document has a limit
+    count.
     """
 
     conflict_policy: str = "denials-take-precedence"
@@ -189,7 +192,7 @@ class SecureXMLServer:
         self._update_lock = threading.Lock()
         self._update_states: "OrderedDict" = OrderedDict()
         # History-limit ledger: (uri, requester) -> the times of its
-        # latest answered reads of a limited document (see _count_read).
+        # latest admitted reads of a limited document (see _admit_read).
         self._history_lock = threading.Lock()
         self._history: dict = {}
         self._history_sweep_at = 1024
@@ -299,7 +302,10 @@ class SecureXMLServer:
         entry is the whole request). See docs/OBSERVABILITY.md.
         """
         with self._request_scope("serve") as scope:
-            response = self._serve(request, limits, "serve")
+            response = self._admitted(
+                request, "serve", request.action,
+                lambda: self._serve(request, limits, "serve"),
+            )
         response.timings = scope.timings
         return response
 
@@ -341,8 +347,11 @@ class SecureXMLServer:
         in *chunk_size* pieces.
         """
         with self._request_scope("serve_stream") as scope:
-            response = self._serve(
-                request, limits, "serve_stream", sink, chunk_size, feed_size
+            response = self._admitted(
+                request, "serve_stream", request.action,
+                lambda: self._serve(
+                    request, limits, "serve_stream", sink, chunk_size, feed_size
+                ),
             )
         response.timings = scope.timings
         return response
@@ -358,9 +367,10 @@ class SecureXMLServer:
     ) -> AccessResponse:
         """The one request flow behind :meth:`serve` (*kind* ``serve``,
         the DOM backend) and :meth:`serve_stream` (``serve_stream``,
-        the streaming backend): :meth:`_begin_read`, cache probe and
-        single-flight, the backend on a miss, cache put, and one step
-        for the response, metrics and audit record."""
+        the streaming backend), run once :meth:`_admitted` has let it
+        in: :meth:`_begin_read`, cache probe and single-flight, the
+        backend on a miss, cache put, and one step for the response,
+        metrics and audit record."""
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
         started, stored, versions, now = self._begin_read(
@@ -482,14 +492,40 @@ class SecureXMLServer:
             sink, chunk_size,
         )
 
+    def _admitted(
+        self,
+        request: AccessRequest | QueryRequest,
+        kind: str,
+        action: str,
+        read: Callable[[], AccessResponse],
+    ) -> AccessResponse:
+        """Run *read* (a serve or a query, audited as *action*) under the
+        document's history limit.
+
+        Admission reserves a slot in the requester's ledger, or refuses
+        the read, in one step (:meth:`_admit_read`), so concurrent reads
+        are admitted only up to the limit. An answered read, released
+        or empty, keeps its slot: an empty answer still reveals that the
+        document exists and costs a view computation. Every other exit
+        releases it: a tripped guard, a repository error, a syntax error
+        from a deferred parse.
+        """
+        slot = self._admit_read(request.requester, request.uri, kind, action)
+        answered = False
+        try:
+            response = read()
+            answered = response.ok
+        finally:
+            if slot is not None and not answered:
+                self._release_read(slot)
+        return response
+
     def _begin_read(
         self, request: AccessRequest | QueryRequest, kind: str, action: str
     ) -> tuple[float, StoredDocument, tuple[int, int], float]:
-        """The prologue of a read (a serve or a query, audited as
-        *action*): the history check, then the start time, the stored
-        document, its version snapshot and the request's one clock
-        reading."""
-        self._enforce_history_limit(request.requester, request.uri, kind, action)
+        """The prologue of an admitted read (a serve or a query, audited
+        as *action*): the start time, the stored document, its version
+        snapshot and the request's one clock reading."""
         started = time.perf_counter()
         stored = self._stored(request.requester, request.uri, action, kind)
         # Version snapshot for the cache protocol, taken *before* the
@@ -525,7 +561,6 @@ class SecureXMLServer:
                 sink(text[offset : offset + step])
         elapsed = time.perf_counter() - started
         outcome = "empty" if view.empty else "released"
-        self._count_read(request.requester, request.uri)
         self._record_request(kind, outcome, elapsed)
         self.audit.record(
             request.requester,
@@ -754,25 +789,29 @@ class SecureXMLServer:
         ``rewrite_fallback_total``); see docs/VIEWS.md.
         """
         with self._request_scope("query") as scope:
-            response = self._query(request, limits, stream, virtual)
+            action = f"query[{request.xpath}]"
+            response = self._admitted(
+                request, "query", action,
+                lambda: self._query(request, action, limits, stream, virtual),
+            )
         response.timings = scope.timings
         return response
 
     def _query(
         self,
         request: QueryRequest,
+        action: str,
         limits: Optional[ResourceLimits],
         stream: bool,
         virtual: bool,
     ) -> AccessResponse:
-        """The query flow: :meth:`_serve`'s prologue
-        (:meth:`_begin_read`, then the deadline check), the backend's
-        selection of the matched nodes together with the function that
-        serializes them, and one step for the response, metrics and
-        audit record."""
+        """The query flow, run once :meth:`_admitted` has let it in:
+        :meth:`_serve`'s prologue (:meth:`_begin_read`, then the
+        deadline check), the backend's selection of the matched nodes
+        together with the function that serializes them, and one step
+        for the response, metrics and audit record."""
         limits = limits if limits is not None else self.limits
         deadline = limits.deadline()
-        action = f"query[{request.xpath}]"
         started, stored, versions, now = self._begin_read(request, "query", action)
         rewritten = None
         if virtual:
@@ -865,7 +904,6 @@ class SecureXMLServer:
             matches = [render(node) for node in nodes]
         elapsed = time.perf_counter() - started
         outcome = "released" if matches else "empty"
-        self._count_read(request.requester, request.uri)
         self._record_request("query", outcome, elapsed)
         self.audit.record(
             request.requester,
@@ -1718,67 +1756,70 @@ class SecureXMLServer:
             error_kind=trip_kind,
         )
 
-    def _enforce_history_limit(
+    def _admit_read(
         self, requester: Requester, uri: str, kind: str, action: str
-    ) -> None:
-        """Refuse a read of *uri* — a serve or a query, audited as
-        *action* — once *requester* has used up the document's history
-        limit, counting the answered reads in its ledger
-        (:meth:`_count_read`)."""
-        limit = self.policy_for(uri).history_limit
-        if limit is None:
-            return
-        horizon = time.time() - limit.window_seconds
-        with self._history_lock:
-            times = self._history.get((uri, str(requester)), ())
-            granted = sum(1 for at in times if at >= horizon)
-        if granted >= limit.max_accesses:
-            self._record_request(kind, "denied")
-            self.audit.record(
-                requester,
-                uri,
-                action,
-                "denied",
-                detail=(
-                    f"history limit: {limit.max_accesses} accesses per "
-                    f"{limit.window_seconds:.0f}s exhausted"
-                ),
-            )
-            raise AccessLimitExceeded(
-                f"{requester} exceeded {limit.max_accesses} accesses on {uri} "
-                f"within {limit.window_seconds:.0f}s"
-            )
+    ) -> Optional[tuple[tuple[str, str], float]]:
+        """Admit one read of *uri* by *requester* (a serve, stream or
+        query, audited as *action*) against the document's history
+        limit: reserve a slot in its ledger and return it, or refuse.
+        None when the document has no limit.
 
-    def _count_read(self, requester: Requester, uri: str) -> None:
-        """Enter one answered read (a released or empty serve, stream
-        or query) in *requester*'s ledger for *uri*, when the document
-        has a history limit. An empty answer counts: it still reveals
-        that the document exists and costs a view computation.
-
-        A ledger keeps the times of its latest ``max_accesses`` reads:
+        The count and the reservation happen under ``_history_lock``
+        together, so no two reads can both take the last slot. A ledger
+        keeps the times of its latest ``max_accesses`` admissions:
         whether that many fall inside the window is all the limit asks.
         Once the table has doubled since the last sweep, ledgers whose
-        newest read has left its window are dropped, so expired ones do
-        not pile up and no read still inside its window is lost.
+        newest admission has left its window are dropped, so expired
+        ones do not pile up and no slot still inside its window is lost.
         """
         limit = self.policy_for(uri).history_limit
         if limit is None:
-            return
+            return None
         now = time.time()
         key = (uri, str(requester))
         with self._history_lock:
             times = self._history.get(key)
-            if times is None or times.maxlen != limit.max_accesses:
-                times = deque(times or (), maxlen=limit.max_accesses)
-                self._history[key] = times
-            times.append(now)
-            if len(self._history) > self._history_sweep_at:
-                self._history = {
-                    (read_uri, reader): ledger
-                    for (read_uri, reader), ledger in self._history.items()
-                    if self._within_limit_window(read_uri, ledger[-1], now)
-                }
-                self._history_sweep_at = max(1024, 2 * len(self._history))
+            horizon = now - limit.window_seconds
+            if sum(1 for at in times or () if at >= horizon) < limit.max_accesses:
+                if times is None or times.maxlen != limit.max_accesses:
+                    times = deque(times or (), maxlen=limit.max_accesses)
+                    self._history[key] = times
+                times.append(now)
+                if len(self._history) > self._history_sweep_at:
+                    self._history = {
+                        (read_uri, reader): ledger
+                        for (read_uri, reader), ledger in self._history.items()
+                        if self._within_limit_window(read_uri, ledger[-1], now)
+                    }
+                    self._history_sweep_at = max(1024, 2 * len(self._history))
+                return key, now
+        self._record_request(kind, "denied")
+        self.audit.record(
+            requester,
+            uri,
+            action,
+            "denied",
+            detail=(
+                f"history limit: {limit.max_accesses} accesses per "
+                f"{limit.window_seconds:.0f}s exhausted"
+            ),
+        )
+        raise AccessLimitExceeded(
+            f"{requester} exceeded {limit.max_accesses} accesses on {uri} "
+            f"within {limit.window_seconds:.0f}s"
+        )
+
+    def _release_read(self, slot: tuple[tuple[str, str], float]) -> None:
+        """Give back a slot :meth:`_admit_read` reserved for a read that
+        was not answered. A sweep, or a new limit that rebuilt the
+        ledger, may have dropped it already."""
+        key, at = slot
+        with self._history_lock:
+            times = self._history.get(key)
+            if times is not None and at in times:
+                times.remove(at)
+                if not times:
+                    del self._history[key]
 
     def _within_limit_window(self, uri: str, at: float, now: float) -> bool:
         """Whether a read of *uri* at *at* still counts at *now*."""

@@ -11,7 +11,9 @@ single :class:`SecureXMLServer` serves parallel mixed traffic with
 - an audit ring whose length equals the request count,
 - tracer spans that never leak across threads (ContextVar isolation),
 - an atomic fail-N-times countdown in the fault injector,
-- a history-limit ledger that loses no answered read, and
+- a history-limit ledger that loses no answered read, admits
+  concurrent reads only up to the limit and frees the slot of a
+  read that is not answered, and
 - a durable audit sink that neither loses nor duplicates records while
   rotating under concurrent writers.
 """
@@ -27,6 +29,8 @@ import pytest
 
 from repro.authz.authorization import Authorization
 from repro.authz.restrictions import HistoryLimit
+from repro.errors import RepositoryError, XMLSyntaxError
+from repro.limits import ResourceLimits
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, current_tracer, tracing
 from repro.server.audit import AuditLog
@@ -576,6 +580,110 @@ class TestHistoryLedgerUnderConcurrency:
         assert all(o.ok for o in outcomes)
         with pytest.raises(AccessLimitExceeded):
             server.serve(AccessRequest(alice(), NOTES_URI))
+
+    #: entry point -> (one read by alice, its requests_total kind, the
+    #: backend method an admitted read reaches)
+    READS = {
+        "serve": (
+            lambda server, **options: server.serve(
+                AccessRequest(alice(), NOTES_URI), **options
+            ),
+            "serve", "_view_tree",
+        ),
+        "serve_stream": (
+            lambda server, **options: server.serve_stream(
+                AccessRequest(alice(), NOTES_URI), **options
+            ),
+            "serve_stream", "_stream_view",
+        ),
+        "query": (
+            lambda server, **options: server.query(
+                QueryRequest(alice(), NOTES_URI, "//note"), **options
+            ),
+            "query", "_view_tree",
+        ),
+        "virtual query": (
+            lambda server, **options: server.query(
+                QueryRequest(alice(), NOTES_URI, "//note"), virtual=True, **options
+            ),
+            "query", "_oracle_for",
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", READS)
+    def test_concurrent_reads_are_admitted_up_to_the_limit(self, entry):
+        read, kind, backend = self.READS[entry]
+        reads, limit = THREADS, 3
+        server = build_server(view_cache=False)
+        server.set_policy(
+            NOTES_URI, PolicyConfig(history_limit=HistoryLimit(limit, 3600))
+        )
+        # Every admitted read waits in its backend until each of the
+        # reads has been admitted or refused, so no read is answered
+        # while another is still being checked.
+        decided = threading.Condition()
+        count = 0
+
+        def decide():
+            nonlocal count
+            with decided:
+                count += 1
+                decided.notify_all()
+
+        inner = getattr(server, backend)
+
+        def held(*args, **kwargs):
+            decide()
+            with decided:
+                assert decided.wait_for(lambda: count == reads, timeout=10)
+            return inner(*args, **kwargs)
+
+        setattr(server, backend, held)
+
+        def one_read(_):
+            try:
+                return read(server).ok
+            except AccessLimitExceeded:
+                decide()
+                return False
+
+        with ThreadPoolExecutor(max_workers=reads) as pool:
+            answered = sum(pool.map(one_read, range(reads)))
+        assert answered == limit
+        metrics = server.metrics
+        assert metrics.value("requests_total", kind=kind, outcome="denied") == (
+            reads - limit
+        )
+
+    @pytest.mark.parametrize("entry", ["serve", "serve_stream", "query"])
+    @pytest.mark.parametrize("failure", ["guard", "repository", "syntax"])
+    def test_an_unanswered_read_leaves_its_slot_free(self, entry, failure):
+        read = self.READS[entry][0]
+        server = build_server(view_cache=False)
+        if failure == "syntax":
+            # A deferred document is parsed by its first read.
+            server.repository.remove_document(NOTES_URI)
+            server.publish_document(NOTES_URI, NOTES[:-3], defer_parse=True)
+        server.set_policy(
+            NOTES_URI, PolicyConfig(history_limit=HistoryLimit(1, 3600))
+        )
+        if failure == "guard":
+            assert not read(server, limits=ResourceLimits(deadline_seconds=0.0)).ok
+        elif failure == "repository":
+            FAULTS.arm("repository.read", times=1)
+            try:
+                with pytest.raises(RepositoryError):
+                    read(server)
+            finally:
+                FAULTS.reset()
+        else:
+            with pytest.raises(XMLSyntaxError):
+                read(server)
+            server.repository.remove_document(NOTES_URI)
+            server.publish_document(NOTES_URI, NOTES, defer_parse=True)
+        assert read(server).ok
+        with pytest.raises(AccessLimitExceeded):
+            read(server)
 
 
 class TestTracerIsolation:
