@@ -8,6 +8,14 @@ documents through random chunk boundaries; a hand-picked hostile corpus
 covers entity bombs, deep nesting, invalid characters, and markup
 split mid-token.
 
+The generator draws each shape the reader's fast path takes and each
+that it leaves to the per-construct code: single- and double-quoted
+values; whitespace (CRLF included) around '=', between attributes and
+before '>' or '/>'; '>', quotes, tabs and newlines inside values;
+duplicate attribute names; '</name >' and mismatched end tags; text
+with newlines, ']', ']]>' and U+000B. It also runs under
+``max_tree_depth``.
+
 The oracle is temporary scaffolding: once a release cycle of
 production traffic has exercised the rebuilt reader, this file and the
 snapshot can be dropped together.
@@ -51,30 +59,55 @@ def assert_identical(text, cuts, limits=None):
 NAMES = st.sampled_from(["a", "b", "r2", "x-y", "_n", "André"])
 TEXTS = st.sampled_from(
     ["", "t", "  spaced  ", "a&amp;b", "x&#65;", "&#x1F600;", "]]", "]",
-     "one]two", "tab\tnl\n", "é€𝄞"]
+     "one]two", "tab\tnl\n", "é€𝄞", "two\nlines\n", "a > b", "q\"'q"]
 )
-ATTR_VALUES = st.sampled_from(["", "v", "a b", "&lt;x&gt;", "x&#10;y", "'"])
+#: Text no document may hold; drawn rarely, so most documents stay valid.
+BAD_TEXTS = st.sampled_from(["a]]>b", "v\x0bt"])
+ATTR_VALUES = st.sampled_from(
+    ["", "v", "a b", "&lt;x&gt;", "x&#10;y", "'", '"', "a>b", "t\tab",
+     "n\nl", "cr\r\nlf"]
+)
+#: Whitespace around '=', between attributes and before '>' or '/>'.
+SPACE = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " \n\t"])
+OPTIONAL_SPACE = st.one_of(st.just(""), SPACE)
+#: True about one draw in twelve; shrinks to False.
+RARELY = st.sampled_from([False] * 11 + [True])
 
 
 @st.composite
 def documents(draw, max_depth=4):
+    def attribute(name):
+        value = draw(ATTR_VALUES)
+        quote = draw(st.sampled_from(['"', "'"]))
+        if quote in value:
+            quote = "'" if quote == '"' else '"'
+        return (
+            f"{draw(SPACE)}{name}{draw(OPTIONAL_SPACE)}={draw(OPTIONAL_SPACE)}"
+            f"{quote}{value}{quote}"
+        )
+
     def element(depth):
         name = draw(NAMES)
-        attrs = ""
-        for attr in draw(
-            st.lists(st.tuples(NAMES, ATTR_VALUES), max_size=2, unique_by=lambda t: t[0])
-        ):
-            attrs += f' {attr[0]}="{attr[1]}"'
+        names = draw(st.lists(NAMES, max_size=3, unique=True))
+        if names and draw(RARELY):
+            names.append(names[0])  # a duplicate attribute
+        attrs = "".join(attribute(attr) for attr in names)
         if depth >= max_depth or draw(st.booleans()):
-            return f"<{name}{attrs}/>"
+            return f"<{name}{attrs}{draw(OPTIONAL_SPACE)}/>"
         inner = "".join(
-            element(depth + 1) if draw(st.booleans()) else draw(TEXTS)
+            element(depth + 1)
+            if draw(st.booleans())
+            else draw(BAD_TEXTS) if draw(RARELY) else draw(TEXTS)
             for _ in range(draw(st.integers(0, 3)))
         )
         extra = draw(
             st.sampled_from(["", "<!-- c -->", "<?pi d?>", "<![CDATA[<raw>&]]>"])
         )
-        return f"<{name}{attrs}>{inner}{extra}</{name}>"
+        closing = name + "x" if draw(RARELY) else name  # a mismatched end tag
+        return (
+            f"<{name}{attrs}{draw(OPTIONAL_SPACE)}>{inner}{extra}"
+            f"</{closing}{draw(OPTIONAL_SPACE)}>"
+        )
 
     prolog = draw(
         st.sampled_from(
@@ -115,24 +148,33 @@ def mutated_with_cuts(draw):
 
 
 class TestHypothesisDifferential:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(documents_with_cuts())
     def test_random_documents_random_chunks(self, case):
         text, cuts = case
         assert_identical(text, cuts)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(mutated_with_cuts())
     def test_damaged_documents_random_chunks(self, case):
         text, cuts = case
         assert_identical(text, cuts)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(documents_with_cuts())
     def test_crlf_variant_matches_oracle(self, case):
         text, cuts = case
         crlf = text.replace("\n", "\r\n")
         assert_identical(crlf, [c for c in cuts if c < len(crlf)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(documents_with_cuts(), mutated_with_cuts()),
+        st.integers(1, 6),
+    )
+    def test_depth_guard_trips_where_the_oracle_does(self, case, depth):
+        text, cuts = case
+        assert_identical(text, cuts, ResourceLimits(max_tree_depth=depth))
 
 
 HOSTILE = [

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.errors import XMLLimitExceeded, XMLSyntaxError
-from repro.limits import ResourceLimits
+from repro.limits import Deadline, ResourceLimits
 from repro.stream import (
     Characters,
     DocumentBuilder,
@@ -164,6 +164,45 @@ class TestGuards:
         with pytest.raises(XMLLimitExceeded) as trip:
             parse_document_chunks(chunks, limits=limits)
         assert trip.value.limit == "max_stream_buffer_bytes"
+
+    @pytest.mark.parametrize("size", [1, 7, 10_000])
+    def test_start_tag_hook_fires_once_before_each_element(self, size):
+        # Plain tags and text take the fast path; a reference, a tab in
+        # a value, a comment, a PI and CDATA take the per-construct code.
+        text = (
+            "<r k='v'><a>t</a><b x=\"1\" y='2'/><c x='a&amp;b'>u&amp;v</c>"
+            "<d x='t\tb'><!-- c --><?pi d?><e/></d><![CDATA[<f/>]]>"
+            "<g>\n<h\n/></g ></r>"
+        )
+        out = []
+        reader = StreamReader(on_start_tag=lambda: out.append("hook"))
+        for chunk in chunked(text, size):
+            reader.feed(chunk, out)
+        reader.close(out)
+        hooks_and_starts = [
+            "hook" if event == "hook" else event.name
+            for event in out
+            if event == "hook" or isinstance(event, StartElement)
+        ]
+        assert hooks_and_starts == [
+            entry for name in "rabcdegh" for entry in ("hook", name)
+        ]
+
+    def test_deadline_is_checked_every_256_constructs(self):
+        class CountingDeadline(Deadline):
+            def check(self, what="request"):
+                seen.append(len(out))
+
+        seen = []
+        out = []
+        # Every construct here is one event: no empty-element tags.
+        text = "<r>" + "<x>t</x>" * 10_000 + "</r>"
+        reader = StreamReader(deadline=CountingDeadline(60.0))
+        reader.close(out, text)
+        assert len(out) == 30_004  # with StartDocument and EndDocument
+        gaps = [after - before for before, after in zip([0, *seen], seen)]
+        assert len(seen) >= 30_002 // 256
+        assert max(gaps) <= 256 + 1  # StartDocument is no construct
 
 
 class TestEventApi:

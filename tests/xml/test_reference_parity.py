@@ -66,7 +66,7 @@ def split(text, cuts):
 
 
 class TestReferenceParity:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(texts_with_cuts(), st.booleans(), st.booleans())
     def test_same_tree_or_error_type(self, case, keep_comments, keep_ws):
         text, cuts = case
@@ -79,7 +79,7 @@ class TestReferenceParity:
             expected, outcome(parse_document_chunks, split(text, cuts), **options)
         )
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(texts_with_cuts(), st.sampled_from(GUARDED_LIMITS))
     def test_one_tight_limit_trips_the_same_way(self, case, name):
         text, _ = case
