@@ -17,8 +17,10 @@ internal DTD subset``. The scanners that find where those constructs
 end skip quoted literals and bracketed subsets first, so an open
 literal or subset reads as an unterminated declaration.
 
-The depth guard reports a position too; its rows sit beside the
-syntax errors.
+A last block of rows puts characters that Python's ``\\s`` matches, but
+XML's four whitespace characters do not include, where a tag allows
+only whitespace. The depth guard reports a position too; its rows sit
+beside the syntax errors.
 """
 
 import pytest
@@ -118,6 +120,17 @@ ROWS = [
     # -- after the root element
     row("<r/>\ntext", "unexpected content after root element", 2, 1),
     row("<r/>\n<s/>", "unexpected content after root element", 2, 1),
+    # -- characters that Python's \s matches but XML's S does not, where
+    #    a tag allows only S
+    row("<r>\n<a\xa0b='1'/></r>", "expected whitespace before attribute", 2, 1),
+    row("<r>\n<a b='1'\x85/></r>", "expected whitespace before attribute", 2, 1),
+    row(
+        "<r>\n<a>x</a>\n<b k='1'\xa0></b></r>",
+        "expected whitespace before attribute", 3, 1,
+    ),
+    row("<r>\n<a b\u2028='1'/></r>", "expected '='", 2, 1),
+    row("<r>\n<a b=\x0c'1'/></r>", "attribute value must be quoted", 2, 1),
+    row("<r>\n<a></a\u3000></r>", "expected '>'", 2, 4),
 ]
 
 
